@@ -49,6 +49,7 @@ from .hypersph import (
     index_is_evaluable,
     m_assoc,
     m_assoc_dotted,
+    m_assoc_pair,
     sum_index_values,
     z_assoc,
 )
@@ -56,6 +57,7 @@ from .radial import (
     LambdaSet,
     RadialParams,
     RadialPoint,
+    argument_scale,
     bessel_ode_residual,
     f1_derivative,
     f1_solution,
@@ -66,9 +68,18 @@ from .radial import (
     resolve_scale,
 )
 from .specfun import Hyp2F1Params, bessel_j_half, bessel_j_half_derivative, hyp2f1, pochhammer
-from .verify import RunReport, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # The verification suites are imported on first use: library use of
+    # the evaluator needs neither them nor their mpmath oracles.
+    if name in ("RunReport", "run_suite"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "GRID_AXES",
@@ -108,11 +119,13 @@ __all__ = [
     "index_is_evaluable",
     "m_assoc",
     "m_assoc_dotted",
+    "m_assoc_pair",
     "sum_index_values",
     "z_assoc",
     "LambdaSet",
     "RadialParams",
     "RadialPoint",
+    "argument_scale",
     "bessel_ode_residual",
     "f1_derivative",
     "f1_solution",

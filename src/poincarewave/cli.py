@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import assembly, dirac, hypersph, radial, verify
-from .errors import DomainError, NonConvergent, OffShellError, SizeCapExceeded, TermCapExceeded
+from .errors import DomainError
 from .halfint import HalfInt
 
 
@@ -31,14 +32,18 @@ def _c(v: complex) -> dict:
 
 
 def _axis(spec: str) -> list[float]:
-    """Parse 'value' or 'lo:hi:n' into a list of floats."""
+    """Parse 'value' or 'lo:hi:n' into a list of finite floats."""
     if ":" in spec:
         lo, hi, n = spec.split(":")
         n = int(n)
         if n < 1:
             raise DomainError(f"grid axis needs at least one point, got {n}")
-        return [float(v) for v in np.linspace(float(lo), float(hi), n)]
-    return [float(spec)]
+        values = [float(v) for v in np.linspace(float(lo), float(hi), n)]
+    else:
+        values = [float(spec)]
+    if not all(math.isfinite(v) for v in values):
+        raise DomainError(f"grid axis {spec!r} has a non-finite value")
+    return values
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None, csv_fields=None) -> None:
@@ -130,9 +135,6 @@ def cmd_hypersph(args) -> int:
 
 # ---------------------------------------------------------------- wavefunction
 
-_WF_AXES = ("x1", "x2", "x3", "x4", "phi", "eps", "theta", "tau")
-
-
 def cmd_wavefunction(args) -> int:
     l = HalfInt.from_value(args.l)
     rp = radial.RadialParams(
@@ -152,7 +154,7 @@ def cmd_wavefunction(args) -> int:
     )
     axes = {}
     scalars = {}
-    for name in _WF_AXES:
+    for name in assembly.GRID_AXES:
         vals = _axis(getattr(args, name))
         if len(vals) == 1:
             scalars[name] = vals[0]
@@ -164,7 +166,7 @@ def cmd_wavefunction(args) -> int:
         hypersph.EulerAngles(
             phi=scalars.get("phi", 0.0),
             eps=scalars.get("eps", 0.0),
-            theta=scalars.get("theta", math_pi_half()),
+            theta=scalars.get("theta", math.pi / 2),
             tau=scalars.get("tau", 1.0),
         ),
     )
@@ -173,19 +175,18 @@ def cmd_wavefunction(args) -> int:
     comp_names = ("psi1", "psi2", "psi1_dot", "psi2_dot")
     rows = []
     for gp, bi in results:
-        t = assembly.translation_factor(cfg, gp)
-        lo = assembly.lorentz_factor(cfg, gp.ang)
         row = {
             "x1": gp.x[0], "x2": gp.x[1], "x3": gp.x[2], "x4": gp.x[3],
             "phi": gp.ang.phi, "eps": gp.ang.eps,
             "theta": gp.ang.theta, "tau": gp.ang.tau,
         }
-        for i, name in enumerate(comp_names):
-            val = bi.as_tuple()[i]
+        for name, val in zip(comp_names, bi.as_tuple()):
             row[f"{name}_re"] = val.real
             row[f"{name}_im"] = val.imag
             row[f"{name}_abs"] = abs(val)
-            row[f"{name}_abs_factors"] = abs(t[i] * lo[i])
+            # grid_eval forms each component as t_i * lo_i, the product of
+            # the two factors, so its modulus is this column bitwise
+            row[f"{name}_abs_factors"] = abs(val)
         rows.append(row)
     fields = list(rows[0].keys()) if rows else []
     doc = {
@@ -201,12 +202,6 @@ def cmd_wavefunction(args) -> int:
     }
     _emit(doc, args.format, args.out, csv_fields=fields)
     return 0
-
-
-def math_pi_half() -> float:
-    import math
-
-    return math.pi / 2
 
 
 # ---------------------------------------------------------------- verify
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf.add_argument("--c2", default="0")
     wf.add_argument("--radius", type=float, default=1.0)
     wf.add_argument("--sign-pair", dest="sign_pair", choices=["+-", "-+"], default="+-")
-    for name in _WF_AXES:
+    for name in assembly.GRID_AXES:
         wf.add_argument(f"--{name.replace('_', '-')}", dest=name,
                         default={"theta": "1.5707963267948966", "tau": "1.0"}.get(name, "0.0"))
     wf.add_argument("--threads", type=int, default=1)
@@ -291,16 +286,34 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Join '--flag -value' into '--flag=-value'.
+
+    argparse reads a token such as '-+', '-1.5:1:4' or '-0.3,0.1' as an
+    option of its own.  No option here has a single-dash name except -h,
+    so such a token right after a '--flag' is that flag's value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and tok.startswith("-") and not tok.startswith("--") and tok != "-h"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else list(argv)))
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
         return 2
     try:
         return args.func(args)
-    except (DomainError, OffShellError, NonConvergent, TermCapExceeded,
-            SizeCapExceeded, ValueError) as exc:
+    # DomainError, OffShellError and SizeCapExceeded are ValueErrors;
+    # NonConvergent, TermCapExceeded and OverflowError are ArithmeticErrors
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

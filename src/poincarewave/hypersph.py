@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
-from .specfun import _termination_index, hyp2f1
+from .specfun import hyp2f1
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -138,14 +138,32 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     return prefactor * total
 
 
+def _phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:
+    mval = m.twice / 2.0
+    if dotted:
+        return cmath.exp(-mval * (ang.eps - 1j * ang.phi))
+    return cmath.exp(-mval * (ang.eps + 1j * ang.phi))
+
+
 def m_assoc(idx: HypersphIndex, ang: EulerAngles) -> complex:
     """Associated function e^{-m(eps + i phi)} Z^l_m(theta, tau)."""
-    mval = idx.m.twice / 2.0
-    return cmath.exp(-mval * (ang.eps + 1j * ang.phi)) * z_assoc(idx, ang.theta, ang.tau)
+    return _phase(idx.m, ang, False) * z_assoc(idx, ang.theta, ang.tau)
 
 
 def m_assoc_dotted(idx: HypersphIndex, ang: EulerAngles) -> complex:
     """Dotted counterpart: same Z kernel with conjugated phase convention,
     e^{-m(eps - i phi)} Z^l_m(theta, tau)."""
-    mval = idx.m.twice / 2.0
-    return cmath.exp(-mval * (ang.eps - 1j * ang.phi)) * z_assoc(idx, ang.theta, ang.tau)
+    return _phase(idx.m, ang, True) * z_assoc(idx, ang.theta, ang.tau)
+
+
+def m_assoc_pair(
+    idx: HypersphIndex, idx_dot: HypersphIndex, ang: EulerAngles
+) -> tuple[complex, complex]:
+    """``m_assoc(idx, ang)`` and ``m_assoc_dotted(idx_dot, ang)``, bitwise.
+
+    The two families share the kernel and differ only in phase, so when
+    ``idx_dot == idx`` the kernel is evaluated once.
+    """
+    z = z_assoc(idx, ang.theta, ang.tau)
+    z_dot = z if idx_dot == idx else z_assoc(idx_dot, ang.theta, ang.tau)
+    return _phase(idx.m, ang, False) * z, _phase(idx_dot.m, ang, True) * z_dot

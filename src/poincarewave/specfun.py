@@ -126,10 +126,6 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     )
 
 
-def hyp2f1_params(p: Hyp2F1Params) -> complex:
-    return hyp2f1(p.a, p.b, p.c, p.x)
-
-
 def _seed_half(x: float) -> tuple[float, float]:
     """(J_{-1/2}, J_{1/2}) at x > 0."""
     s = math.sqrt(2.0 / (math.pi * x))

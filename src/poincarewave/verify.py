@@ -3,7 +3,8 @@
 Each suite replays the residual and oracle checks for one part of the
 library and reports the worst residual against its tolerance.  Double
 precision lives in the library kernels; the oracles here run in mpmath
-at >= 25 significant digits.
+at >= 25 significant digits, imported by the oracles themselves so that
+importing the package or its CLI does not load mpmath.
 
 When a suite mixes checks with different tolerances, the reported
 ``max_residual`` is the worst residual rescaled to the suite's headline
@@ -17,7 +18,6 @@ import math
 import time
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
 
 from . import assembly, dirac, hypersph, radial, specfun
@@ -211,6 +211,8 @@ def verify_bessel(tol: float | None = None) -> RunReport:
 
 def mp_hyp2f1_series(a, b, c, x, jmax=None, dps=50):
     """Brute-force term-by-term summation at high working precision."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         s = mp.mpf(1)
         term = mp.mpc(1)
@@ -272,6 +274,8 @@ _factor_cache: dict = {}
 
 def _oracle_factor(a, b, c, xkey, x):
     """One hypergeometric factor at high precision, cached per grid value."""
+    import mpmath as mp
+
     key = (a, b, c, xkey)
     if key in _factor_cache:
         return _factor_cache[key]
@@ -287,6 +291,8 @@ def _oracle_factor(a, b, c, xkey, x):
 
 def z_assoc_oracle(idx: hypersph.HypersphIndex, theta: float, tau: float) -> complex:
     """Independent high-precision direct summation of the Z kernel."""
+    import mpmath as mp
+
     with mp.workdps(_ORACLE_DPS):
         l, m = idx.l, idx.m
         th = mp.mpf(theta)

@@ -1,9 +1,11 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from poincarewave import dirac, hypersph, specfun
 from poincarewave.assembly import (
     GroupPoint,
     SpinConfig,
@@ -122,6 +124,48 @@ def test_grid_rows_match_pointwise_calls():
         direct = bispinor(cfg, gp).as_tuple()
         assert row.as_tuple() == direct  # bitwise equality
         assert gp.x == base.x
+    # x and angle axes interleaved, in an order other than GRID_AXES
+    axes = {"tau": [0.4, 2.0], "x4": [-1.0, 0.5, 2.0], "theta": [0.5, 2.5], "x1": [0.0, 1.5]}
+    rows = grid_eval(cfg, base, axes)
+    assert len(rows) == 24
+    for (gp, row), (ta, x4, th, x1) in zip(rows, itertools.product(*axes.values())):
+        assert (gp.ang.tau, gp.x[3], gp.ang.theta, gp.x[0]) == (ta, x4, th, x1)
+        assert (gp.x[1], gp.x[2], gp.ang.phi, gp.ang.eps) == (0.2, 0.3, ANG.phi, ANG.eps)
+        assert row.as_tuple() == bispinor(cfg, gp).as_tuple()
+
+
+def _counted(monkeypatch, module, name):
+    calls = [0]
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_ang, n_x", [(1, 1), (3, 2), (2, 5)])
+def test_grid_evaluates_each_factor_once_per_sub_grid_point(monkeypatch, n_ang, n_x):
+    # l = l_dot = 1/2: two kernel calls per angle point, two plane waves
+    # per x point, and the radial Bessel work once per call
+    kernel = _counted(monkeypatch, hypersph, "z_assoc")
+    waves = _counted(monkeypatch, dirac, "plane_wave")
+    bessel = _counted(monkeypatch, specfun, "bessel_j_half")
+    cfg = config(C1=0.6 + 0.2j, C2=-0.3 + 0.1j)
+    base = GroupPoint((0.1, 0.2, 0.3, 0.4), ANG)
+    axes = {
+        "x2": list(np.linspace(-1.0, 1.0, n_x)),
+        "theta": list(np.linspace(0.5, 2.5, n_ang)),
+        "x3": [0.0, 0.7],
+        "tau": [0.4, 2.0],
+    }
+    rows = grid_eval(cfg, base, axes)
+    assert len(rows) == 4 * n_ang * n_x
+    assert kernel[0] == 2 * (2 * n_ang)
+    assert waves[0] == 2 * (2 * n_x)
+    assert bessel[0] == 12  # f1 and f4, each from 3 Bessel values per branch
 
 
 def test_grid_axis_validation():

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,9 +43,11 @@ def test_spinor_domain_error_exit_2(capsys):
 
 
 def test_spinor_usage_error_exit_2():
-    with pytest.raises(SystemExit) as e:
-        main(["spinor", "--kind", "w", "--r", "1", "--m", "1"])
-    assert e.value.code == 2
+    for argv in (["spinor", "--kind", "w", "--r", "1", "--m", "1"],
+                 ["verify", "--suite", "bogus"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 2
 
 
 def test_hypersph_single_point(capsys):
@@ -73,8 +78,23 @@ def test_hypersph_singular_pair_exit_2(capsys):
 
 
 def test_hypersph_bad_domain_exit_2(capsys):
-    code, _, _ = run(capsys, "hypersph", "--l", "1/2", "--m", "1/2", "--tau", "0")
-    assert code == 2
+    for argv in (
+        ("--l", "1/2", "--m", "1/2", "--tau", "0"),
+        ("--l", "7/2", "--m", "7/2", "--tau", "800"),  # cosh(tau/2)**7 overflows
+        ("--l", "inf", "--m", "1/2"),
+    ):
+        code, out, _ = run(capsys, "hypersph", *argv)
+        assert code == 2, argv
+        assert out == ""
+
+
+def test_wavefunction_non_finite_axis_exit_2(capsys):
+    for value in ("nan", "inf", "0:nan:3"):
+        code, out, err = run(capsys, "wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5",
+                             "--kappa-dot", "0.5", "--x3", value)
+        assert code == 2, value
+        assert out == ""
+        assert "non-finite" in err
 
 
 def test_wavefunction_csv_factorization_columns(capsys):
@@ -90,6 +110,29 @@ def test_wavefunction_csv_factorization_columns(capsys):
     for line in lines[1:]:
         cells = line.split(",")
         assert float(cells[i_abs]) == pytest.approx(float(cells[i_fac]), rel=1e-14)
+
+
+def test_values_starting_with_dash_parse_as_values(capsys):
+    common = ["wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
+              "--theta", "0.5:2.5:2", "--format", "csv"]
+    _, spaced, _ = run(capsys, *common, "--sign-pair", "-+", "--x1", "-1.5:1:4")
+    code, joined, _ = run(capsys, *common, "--sign-pair=-+", "--x1=-1.5:1:4")
+    assert code == 0
+    assert spaced == joined
+    assert len(joined.strip().split("\n")) == 1 + 4 * 2
+    _, spaced, _ = run(capsys, "hypersph", "--l", "1/2", "--m", "-1/2")
+    _, joined, _ = run(capsys, "hypersph", "--l", "1/2", "--m=-1/2")
+    assert spaced == joined
+    assert json.loads(spaced)["inputs"]["m"] == "-1/2"
+
+
+def test_imports_do_not_load_mpmath():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import poincarewave, poincarewave.cli; "
+            "assert 'mpmath' not in sys.modules, 'mpmath imported'; "
+            "from poincarewave import RunReport, run_suite")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
 
 
 def test_verify_pass_exit_0(capsys):

@@ -8,6 +8,7 @@ from poincarewave.halfint import half
 from poincarewave.radial import (
     RadialParams,
     RadialPoint,
+    argument_scale,
     bessel_ode_residual,
     f1_derivative,
     f1_solution,
@@ -77,6 +78,16 @@ class TestResolveScale:
             resolve_scale(1.0, -1.0)
         with pytest.raises(NonPositiveProduct):
             resolve_scale(1.0, 1.0j)
+
+    def test_closed_form_is_the_winner_bitwise(self):
+        for kappa, kappa_dot in ((0.5, 0.5), (2.0, 0.5), (0.7, 0.9), (0.5j, -0.5j), (1.3, 0.4)):
+            assert argument_scale(kappa, kappa_dot) == resolve_scale(kappa, kappa_dot)
+
+    def test_closed_form_rejects_nonpositive_product(self):
+        with pytest.raises(NonPositiveProduct):
+            argument_scale(1.0, -1.0)
+        with pytest.raises(NonPositiveProduct):
+            argument_scale(1.0, 1.0j)
 
 
 class TestClosedForms:
