@@ -12,6 +12,7 @@ JSON serializes every complex value as {"re": ..., "im": ...}; CSV uses
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -19,7 +20,7 @@ import sys
 import numpy as np
 
 from . import assembly, dirac, hypersph, radial, verify
-from .errors import DomainError
+from .errors import DomainError, SizeCapExceeded
 from .halfint import HalfInt
 
 
@@ -31,19 +32,33 @@ def _c(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
-def _axis(spec: str) -> list[float]:
-    """Parse 'value' or 'lo:hi:n' into a list of finite floats."""
-    if ":" in spec:
-        lo, hi, n = spec.split(":")
-        n = int(n)
-        if n < 1:
-            raise DomainError(f"grid axis needs at least one point, got {n}")
-        values = [float(v) for v in np.linspace(float(lo), float(hi), n)]
-    else:
-        values = [float(spec)]
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"grid axis {spec!r} has a non-finite value")
-    return values
+def _axes(specs: list[str]) -> list[list[float]]:
+    """Parse each 'value' or 'lo:hi:n' spec into a list of finite floats.
+
+    The grid the axes span is checked against ``assembly.GRID_SIZE_CAP``
+    before any axis is built.
+    """
+    parsed = []
+    total = 1
+    for spec in specs:
+        if ":" in spec:
+            lo, hi, n = spec.split(":")
+            n = int(n)
+            if n < 1:
+                raise DomainError(f"grid axis needs at least one point, got {n}")
+            parsed.append((spec, float(lo), float(hi), n))
+            total *= n
+        else:
+            parsed.append((spec, float(spec), None, None))
+    if total > assembly.GRID_SIZE_CAP:
+        raise SizeCapExceeded(f"grid of {total} points exceeds cap {assembly.GRID_SIZE_CAP}")
+    out = []
+    for spec, lo, hi, n in parsed:
+        values = [lo] if n is None else [float(v) for v in np.linspace(lo, hi, n)]
+        if not all(math.isfinite(v) for v in values):
+            raise DomainError(f"grid axis {spec!r} has a non-finite value")
+        out.append(values)
+    return out
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None, csv_fields=None) -> None:
@@ -67,11 +82,15 @@ def _emit(doc: dict, fmt: str, out_path: str | None, csv_fields=None) -> None:
 
 
 def _complex_flag(s: str) -> complex:
-    """Parse 're,im' or a bare real."""
+    """Parse 're,im' or a bare real into a finite complex."""
     if "," in s:
         re, im = s.split(",")
-        return complex(float(re), float(im))
-    return complex(float(s))
+        v = complex(float(re), float(im))
+    else:
+        v = complex(float(s))
+    if not cmath.isfinite(v):
+        raise DomainError(f"complex value {s!r} is non-finite")
+    return v
 
 
 # ---------------------------------------------------------------- spinor
@@ -113,11 +132,12 @@ def cmd_spinor(args) -> int:
 def cmd_hypersph(args) -> int:
     idx = hypersph.HypersphIndex(HalfInt.from_value(args.l), HalfInt.from_value(args.m))
     fn = hypersph.m_assoc_dotted if args.dotted else hypersph.m_assoc
+    thetas, taus, phis, epss = _axes([args.theta, args.tau, args.phi, args.eps])
     rows = []
-    for th in _axis(args.theta):
-        for ta in _axis(args.tau):
-            for ph in _axis(args.phi):
-                for ep in _axis(args.eps):
+    for th in thetas:
+        for ta in taus:
+            for ph in phis:
+                for ep in epss:
                     ang = hypersph.EulerAngles(phi=ph, eps=ep, theta=th, tau=ta)
                     val = fn(idx, ang)
                     rows.append(
@@ -154,8 +174,8 @@ def cmd_wavefunction(args) -> int:
     )
     axes = {}
     scalars = {}
-    for name in assembly.GRID_AXES:
-        vals = _axis(getattr(args, name))
+    specs = [getattr(args, name) for name in assembly.GRID_AXES]
+    for name, vals in zip(assembly.GRID_AXES, _axes(specs)):
         if len(vals) == 1:
             scalars[name] = vals[0]
         else:

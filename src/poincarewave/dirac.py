@@ -53,6 +53,11 @@ def gamma_set() -> GammaSet:
     return GammaSet(GAMMA0.copy(), GAMMA1.copy(), GAMMA2.copy(), GAMMA3.copy())
 
 
+def _require_finite(*components: float) -> None:
+    if not all(math.isfinite(v) for v in components):
+        raise OffShellError(f"four-momentum components must be finite, got {components}")
+
+
 @dataclass(frozen=True)
 class FourMomentum:
     """On-shell four-momentum; use ``off_shell`` for deliberate violations."""
@@ -64,6 +69,7 @@ class FourMomentum:
     m: float
 
     def __post_init__(self) -> None:
+        _require_finite(self.E, self.px, self.py, self.pz, self.m)
         if not self.m > 0.0:
             raise OffShellError(f"mass must be positive, got {self.m}")
         e0 = self.shell_energy
@@ -91,6 +97,7 @@ class FourMomentum:
     @classmethod
     def off_shell(cls, E: float, px: float, py: float, pz: float, m: float) -> "FourMomentum":
         """Explicit off-shell constructor for negative tests."""
+        _require_finite(E, px, py, pz, m)
         p = object.__new__(cls)
         for name, val in zip(("E", "px", "py", "pz", "m"), (E, px, py, pz, m)):
             object.__setattr__(p, name, float(val))

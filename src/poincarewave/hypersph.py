@@ -97,6 +97,31 @@ def index_is_evaluable(idx: HypersphIndex) -> bool:
     return True
 
 
+def _theta_factor(a: float, b: float, c: float, t: float) -> complex:
+    """2F1(a, b; c; -t^2), with t = tan(theta/2).
+
+    (1, 1; 2), the one non-terminating triple at l = 1/2, is
+    log(1 + t^2)/t^2 (DLMF 15.4.2); t^2 underflows to 0 only where the
+    series is 1 to double precision.
+    """
+    if (a, b, c) == (1.0, 1.0, 2.0):
+        t2 = t * t
+        return math.log1p(t2) / t2 if t2 else 1.0
+    return hyp2f1(a, b, c, -t * t)
+
+
+def _tau_factor(a: float, b: float, c: float, tau: float, h: float) -> complex:
+    """2F1(a, b; c; h^2), with h = tanh(tau/2).
+
+    (1/2, 1; 3/2), the one non-terminating triple at l = 1/2, is
+    atanh(h)/h = (tau/2)/h (DLMF 15.4.3), taken from tau itself: h
+    rounds to 1 for tau >~ 38, where atanh(h) would be infinite.
+    """
+    if (a, b, c) == (0.5, 1.0, 1.5):
+        return (0.5 * tau) / h
+    return hyp2f1(a, b, c, h * h)
+
+
 def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     """The kernel Z^l_m(theta, tau).
 
@@ -109,13 +134,19 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     tanh^{-k} uses the principal real branch (its base is positive on the
     open domain).  The k-sum is accumulated in order k = -l ... l with
     compensated summation so grid sweeps are bitwise reproducible.
+
+    At l = 1/2 both non-terminating factors are elementary and are taken
+    in closed form, so that kernel holds up to theta -> pi and until
+    cosh(tau/2) overflows (tau ~ 1420).  Every other factor is a ``hyp2f1``
+    series.  The non-terminating ones sit at k = -l (and at l = 0); near
+    their endpoints they slow and then raise TermCapExceeded (the theta
+    factor of m = l as theta -> pi) or NonConvergent (the tau factor of
+    l >= 3/2 once tanh^2(tau/2) rounds to 1).
     """
     _check_open_domain(theta, tau)
     l, m = idx.l, idx.m
     t = math.tan(0.5 * theta)
     h = math.tanh(0.5 * tau)
-    x = -t * t
-    y = h * h
     prefactor = math.cos(0.5 * theta) ** l.twice * math.cosh(0.5 * tau) ** l.twice
 
     total = 0.0 + 0.0j
@@ -128,8 +159,8 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
             phase
             * t**n
             * h ** (-k.twice / 2.0)
-            * hyp2f1(a1, b1, c1, x)
-            * hyp2f1(a2, b2, c2, y)
+            * _theta_factor(a1, b1, c1, t)
+            * _tau_factor(a2, b2, c2, tau, h)
         )
         yv = term - comp
         tv = total + yv

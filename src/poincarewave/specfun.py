@@ -110,7 +110,11 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     with x not on the negative real axis.  For real x < 0 the Pfaff map
     x -> x/(x-1) is applied first, which brings the argument into [0, 1)
     and keeps convergence geometric even as x -> -1; this is the only
-    analytic continuation performed.
+    analytic continuation performed.  No 1 - x connection is applied, so
+    as the (mapped) argument nears 1 the series needs ever more terms and
+    raises TermCapExceeded once it needs more than SERIES_TERM_CAP.  The
+    Lorentz kernel takes its two l = 1/2 factors that would hit this in
+    closed form (``hypersph.z_assoc``) and calls this only for the rest.
     """
     x = complex(x)
     jmax = _check_pole(a, b, c)
@@ -137,7 +141,10 @@ def bessel_j_half(nu: HalfInt, x: float) -> float:
 
     Seeds J_{1/2} = sqrt(2/(pi x)) sin x and J_{-1/2} = sqrt(2/(pi x)) cos x
     feed the three-term recurrence, applied upward for nu > 1/2 and downward
-    for nu < -1/2; each direction tracks the growing solution and is stable.
+    for nu < -1/2.  Downward, and upward while x >= nu, the recurrence
+    tracks the dominant solution and is stable.  Upward with x < nu it is
+    not: J_nu is then the minimal solution and the error grows with each
+    step (relative error 0.14 at nu = 7/2, x = 0.01).
     """
     if nu.is_integer:
         raise IntegerOrderUnsupported(f"integer order {nu} not supported")

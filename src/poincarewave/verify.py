@@ -272,7 +272,7 @@ _ORACLE_DPS = 25
 _factor_cache: dict = {}
 
 
-def _oracle_factor(a, b, c, xkey, x):
+def _oracle_factor(a, b, c, xkey, x, dps):
     """One hypergeometric factor at high precision, cached per grid value."""
     import mpmath as mp
 
@@ -281,9 +281,9 @@ def _oracle_factor(a, b, c, xkey, x):
         return _factor_cache[key]
     jmax = specfun._termination_index(a, b)
     if jmax is not None:
-        val = mp_hyp2f1_series(mp.mpf(a), mp.mpf(b), mp.mpf(c), x, jmax=jmax, dps=_ORACLE_DPS)
+        val = mp_hyp2f1_series(mp.mpf(a), mp.mpf(b), mp.mpf(c), x, jmax=jmax, dps=dps)
     else:
-        with mp.workdps(_ORACLE_DPS):
+        with mp.workdps(dps):
             val = mp.hyp2f1(a, b, c, x)
     _factor_cache[key] = val
     return val
@@ -293,7 +293,10 @@ def z_assoc_oracle(idx: hypersph.HypersphIndex, theta: float, tau: float) -> com
     """Independent high-precision direct summation of the Z kernel."""
     import mpmath as mp
 
-    with mp.workdps(_ORACLE_DPS):
+    # 1 - tanh^2(tau/2) ~ 4 e^{-tau}: forming tanh^2 cancels tau/ln(10)
+    # digits, which the tau factors (singular at tanh^2 = 1) need back
+    dps = _ORACLE_DPS + int(tau / math.log(10))
+    with mp.workdps(dps):
         l, m = idx.l, idx.m
         th = mp.mpf(theta)
         ta = mp.mpf(tau)
@@ -310,8 +313,8 @@ def z_assoc_oracle(idx: hypersph.HypersphIndex, theta: float, tau: float) -> com
                 mp.mpc(0, 1) ** n
                 * t**n
                 * h ** mp.mpf(-k.twice / 2.0)
-                * _oracle_factor(a1, b1, c1, (theta, "th"), x)
-                * _oracle_factor(a2, b2, c2, (tau, "ta"), y)
+                * _oracle_factor(a1, b1, c1, (theta, "th"), x, dps)
+                * _oracle_factor(a2, b2, c2, (tau, "ta"), y, dps)
             )
             s += term
         return complex(pref * s)

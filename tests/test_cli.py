@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -97,6 +98,52 @@ def test_wavefunction_non_finite_axis_exit_2(capsys):
         assert "non-finite" in err
 
 
+def _finite_json(text: str) -> dict:
+    def reject(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_non_finite_flags_exit_2(capsys):
+    wf = ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5")
+    for argv in (
+        (*wf, "--c1", "nan"),
+        (*wf, "--c2", "1,inf"),
+        ("spinor", "--kind", "u", "--r", "1", "--m", "1", "--px", "inf"),
+        ("spinor", "--kind", "u", "--r", "1", "--m", "1", "--off-shell", "--E", "inf"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "finite" in err
+
+
+def test_grid_size_cap_checked_before_building(capsys):
+    for argv in (
+        ("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "0.1:3:4000", "--tau", "0.1:3:4000"),
+        ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
+         "--x1", "0:1:10000001"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "exceeds cap" in err
+
+
+def test_half_kernel_tail_writes_finite_json(capsys):
+    for argv in (
+        ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
+         "--tau", "30"),
+        ("hypersph", "--l", "1/2", "--m", "1/2", "--tau", "40"),
+    ):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        rows = _finite_json(out)["rows"]
+        assert rows and all(math.isfinite(v) for row in rows for v in row.values()
+                            if isinstance(v, float))
+
+
 def test_wavefunction_csv_factorization_columns(capsys):
     code, out, _ = run(capsys, "wavefunction", "--m", "1", "--pz", "0.75",
                        "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
@@ -133,6 +180,15 @@ def test_imports_do_not_load_mpmath():
             "assert 'mpmath' not in sys.modules, 'mpmath imported'; "
             "from poincarewave import RunReport, run_suite")
     subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "poincarewave", "verify", "--suite", "gamma"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["passed"] is True
 
 
 def test_verify_pass_exit_0(capsys):

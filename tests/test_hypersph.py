@@ -132,3 +132,41 @@ def test_pair_matches_separate_calls_bitwise():
         idx, idx_dot = HypersphIndex(half(l), half(m)), HypersphIndex(half(l_dot), half(m))
         got = m_assoc_pair(idx, idx_dot, ang)
         assert got == (m_assoc(idx, ang), m_assoc_dotted(idx_dot, ang))
+
+
+# theta -> pi and tau out to 50: where the l = 1/2 series used to run out
+# of terms (theta >~ 3.135, tau >~ 13)
+TAIL_THETAS = (1e-4, 0.5, 2.0, 3.1, math.pi - 1e-4)
+TAIL_TAUS = (1e-4, 1.0, 13.0, 30.0, 50.0)
+
+
+@pytest.mark.parametrize("m", (1, -1))
+def test_half_kernel_matches_oracle_into_the_tails(m):
+    from poincarewave.verify import z_assoc_oracle
+
+    idx = HypersphIndex(half(1), half(m))
+    for theta in TAIL_THETAS:
+        for tau in TAIL_TAUS:
+            want = z_assoc_oracle(idx, theta, tau)
+            assert z_assoc(idx, theta, tau) == pytest.approx(want, rel=1e-12), (theta, tau)
+
+
+def test_half_kernel_sums_no_non_terminating_series(monkeypatch):
+    from poincarewave import hypersph, specfun
+
+    seen = []
+
+    def recording_hyp2f1(a, b, c, x):
+        seen.append((a, b, c, specfun._termination_index(a, b) is not None))
+        return specfun.hyp2f1(a, b, c, x)
+
+    monkeypatch.setattr(hypersph, "hyp2f1", recording_hyp2f1)
+    for m in (1, -1):
+        for theta in TAIL_THETAS:
+            for tau in TAIL_TAUS:
+                z_assoc(HypersphIndex(half(1), half(m)), theta, tau)
+    assert seen and all(terminates for *_, terminates in seen)
+    # every other l keeps the series, the non-terminating ones included
+    seen.clear()
+    z_assoc(HypersphIndex(half(2), half(2)), 1.0, 1.0)
+    assert (1.0, 1.0, 3.0, False) in seen
