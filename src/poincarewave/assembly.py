@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
-
-import numpy as np
+import operator
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
 from . import dirac, hypersph
 from .dirac import FourMomentum, u_amplitude, v_amplitude
@@ -31,6 +30,8 @@ GRID_AXES = ("x1", "x2", "x3", "x4", "phi", "eps", "theta", "tau")
 _X_AXES = GRID_AXES[:4]
 
 Factor = tuple[complex, complex, complex, complex]
+# What a factor of ``sweep`` returns for one point: (key, entries).
+Entry = tuple[Any, tuple[complex, ...]]
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,6 @@ def _lorentz_part(cfg: SpinConfig) -> Callable[[EulerAngles], Factor]:
     return at
 
 
-def _product(t: Factor, lo: Factor) -> PoincareBispinor:
-    return PoincareBispinor(t[0] * lo[0], t[1] * lo[1], t[2] * lo[2], t[3] * lo[3])
-
-
 def lorentz_factor(cfg: SpinConfig, ang: EulerAngles) -> Factor:
     """The four Lorentz-part scalars (radial times hyperspherical):
 
@@ -134,7 +131,8 @@ def translation_factor(cfg: SpinConfig, gp: GroupPoint) -> Factor:
 
 def bispinor(cfg: SpinConfig, gp: GroupPoint) -> PoincareBispinor:
     """Componentwise product of translation and Lorentz factors."""
-    return _product(translation_factor(cfg, gp), lorentz_factor(cfg, gp.ang))
+    t, lo = translation_factor(cfg, gp), lorentz_factor(cfg, gp.ang)
+    return PoincareBispinor(*map(operator.mul, t, lo))
 
 
 def _validate_axis(name: str, values: Sequence[float]) -> None:
@@ -152,10 +150,98 @@ def _validate_axis(name: str, values: Sequence[float]) -> None:
                 raise DomainError(f"tau axis value {v} must be positive")
 
 
-def _sub_grid(axes: Mapping[str, Sequence[float]], names: list[str]) -> Iterator[dict]:
-    """The points of the grid over ``names`` alone, in lexicographic order."""
-    for combo in itertools.product(*(axes[name] for name in names)):
-        yield dict(zip(names, combo))
+def sweep(
+    axes: Mapping[str, Sequence[float]],
+    left_axes: Collection[str],
+    left: Callable[..., Entry],
+    right: Callable[..., Entry],
+) -> Iterator[tuple[Any, Any, tuple[complex, ...]]]:
+    """Evaluate a grid that is the product of two factors over disjoint axes.
+
+    The grid is the cartesian product of ``axes`` (name -> values) in
+    lexicographic order, the first axis slowest.  ``left`` takes the axes
+    named in ``left_axes`` as keyword arguments and ``right`` the others;
+    each returns ``(key, entries)``: a label for its point and a tuple of
+    complex factor entries.
+
+    Every error is raised before this returns: SizeCapExceeded, any error
+    of a factor, which is evaluated once per point of its sub-grid, and
+    OverflowError when an entry is not finite or when max|left_i| *
+    max|right_i|, the largest product of component i, is not.  The
+    iterator returned then yields, for each grid point in order,
+    ``(left key, right key, left entries * right entries)``, the product
+    taken componentwise, and cannot raise.
+    """
+    names = list(axes)
+    total = math.prod(len(axes[name]) for name in names)
+    if total > GRID_SIZE_CAP:
+        raise SizeCapExceeded(f"grid of {total} points exceeds cap {GRID_SIZE_CAP}")
+    tables = []
+    for fn, sub in ((left, [n for n in names if n in left_axes]),
+                    (right, [n for n in names if n not in left_axes])):
+        tables.append([fn(**dict(zip(sub, point)))
+                       for point in itertools.product(*(axes[n] for n in sub))])
+    lt, rt = tables
+    for a, b in zip(_largest(lt), _largest(rt)):
+        if not math.isfinite(a * b):
+            raise OverflowError("a product of the grid factors overflows")
+
+    # A point's index into each table is a mixed-radix number over that
+    # factor's axes.  The right factor's place values are scaled by
+    # len(lt), so the sum of a point's per-axis offsets carries both
+    # indices and divmod splits them.
+    steps = []
+    place = {True: 1, False: len(lt)}
+    for name in reversed(names):
+        side = name in left_axes
+        steps.append([k * place[side] for k in range(len(axes[name]))])
+        place[side] *= len(axes[name])
+    steps.reverse()
+
+    def pairs():
+        for offsets in itertools.product(*steps):
+            j, i = divmod(sum(offsets), len(lt))
+            (lk, lv), (rk, rv) = lt[i], rt[j]
+            yield lk, rk, tuple(map(operator.mul, lv, rv))
+
+    return pairs()
+
+
+def _largest(table: list[Entry]) -> list[float]:
+    """The largest modulus of each component over a factor table."""
+    mags = [[abs(v) for v in entries] for _, entries in table]
+    if not all(map(math.isfinite, itertools.chain.from_iterable(mags))):
+        raise OverflowError("a grid factor is not finite")
+    return [max(col) for col in zip(*mags)]
+
+
+def grid_rows(
+    cfg: SpinConfig,
+    base: GroupPoint,
+    axes: Mapping[str, Sequence[float]],
+) -> Iterator[tuple[tuple[float, float, float, float], EulerAngles, Factor]]:
+    """The rows of ``grid_eval`` as an iterator of ``(x, angles, psi)``.
+
+    The grid is evaluated as the factorization, through ``sweep``: the
+    config-only work once, the translation factor once per point of the x
+    sub-grid, the Lorentz factor once per point of the angle sub-grid, and
+    each row as their componentwise product.  Every error is raised before
+    this returns.
+    """
+    for name in axes:
+        _validate_axis(name, axes[name])
+    translation = _translation_part(cfg)
+    lorentz = _lorentz_part(cfg)
+
+    def at_x(**vals: float) -> Entry:
+        x = tuple(vals.get(name, b) for name, b in zip(_X_AXES, base.x))
+        return x, translation(x)
+
+    def at_angles(**vals: float) -> Entry:
+        ang = replace(base.ang, **vals)
+        return ang, lorentz(ang)
+
+    return sweep(axes, _X_AXES, at_x, at_angles)
 
 
 def grid_eval(
@@ -168,48 +254,7 @@ def grid_eval(
     ``axes`` maps parameter names (subset of GRID_AXES) to value lists;
     unswept parameters come from ``base``.  Rows are emitted in
     lexicographic order of the axes in mapping order, and each row equals
-    a pointwise ``bispinor`` call bitwise.
-
-    The grid is evaluated as the factorization: the config-only work once,
-    the Lorentz factor once per point of the angle sub-grid, the
-    translation factor once per point of the x sub-grid, and each row as
-    their componentwise product.
+    a pointwise ``bispinor`` call bitwise (see ``grid_rows``).
     """
-    names = list(axes.keys())
-    total = 1
-    for name in names:
-        _validate_axis(name, axes[name])
-        total *= len(axes[name])
-    if total > GRID_SIZE_CAP:
-        raise SizeCapExceeded(f"grid of {total} points exceeds cap {GRID_SIZE_CAP}")
-
-    translation = _translation_part(cfg)
-    lorentz = _lorentz_part(cfg)
-    x_names = [n for n in names if n in _X_AXES]
-    ang_names = [n for n in names if n not in _X_AXES]
-    xs = [
-        tuple(vals.get(name, base.x[i]) for i, name in enumerate(_X_AXES))
-        for vals in _sub_grid(axes, x_names)
-    ]
-    angs = [
-        EulerAngles(
-            phi=vals.get("phi", base.ang.phi),
-            eps=vals.get("eps", base.ang.eps),
-            theta=vals.get("theta", base.ang.theta),
-            tau=vals.get("tau", base.ang.tau),
-        )
-        for vals in _sub_grid(axes, ang_names)
-    ]
-    t_rows = [translation(x) for x in xs]
-    lo_rows = [lorentz(ang) for ang in angs]
-
-    # Row k of the full grid pairs x point xi[k] with angle point ai[k]:
-    # each sub-grid's index, broadcast over the other sub-grid's axes.
-    shape = [len(axes[n]) for n in names]
-    xi = np.arange(len(xs)).reshape([k if n in _X_AXES else 1 for n, k in zip(names, shape)])
-    ai = np.arange(len(angs)).reshape([1 if n in _X_AXES else k for n, k in zip(names, shape)])
-    return [
-        (GroupPoint(xs[i], angs[j]), _product(t_rows[i], lo_rows[j]))
-        for i, j in zip(np.broadcast_to(xi, shape).ravel().tolist(),
-                        np.broadcast_to(ai, shape).ravel().tolist())
-    ]
+    return [(GroupPoint(x, ang), PoincareBispinor(*psi))
+            for x, ang, psi in grid_rows(cfg, base, axes)]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import contextlib
 import json
 import math
 import sys
@@ -61,24 +62,34 @@ def _axes(specs: list[str]) -> list[list[float]]:
     return out
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None, csv_fields=None) -> None:
-    if fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        rows = doc.get("rows", [])
-        lines = [",".join(csv_fields)]
-        for row in rows:
-            cells = []
-            for f in csv_fields:
-                v = row[f]
-                cells.append(_fmt(v) if isinstance(v, float) else str(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(doc: dict, fmt: str, out_path: str | None, fields=()) -> None:
+    """Write ``doc`` to ``out_path``, or to stdout, one row at a time.
+
+    ``doc["rows"]``, when present, is an iterable of tuples of numbers in
+    ``fields`` order.  JSON writes the whole document, CSV only its rows.
+    """
+    rows = doc.get("rows")
+    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
+        if rows is None:
+            fh.write(json.dumps(doc, indent=2) + "\n")
+        elif fmt == "csv":
+            fh.write(",".join(fields) + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+        else:
+            # The text of json.dumps(doc, indent=2): its head and tail come
+            # from a one-row placeholder, each row's numbers from json.dumps
+            # of the row, set out as the indented encoder sets out a dict
+            # two levels deep.
+            text = json.dumps({**doc, "rows": [None]}, indent=2) + "\n"
+            head, _, tail = text.partition("null\n  ]")
+            item = "{\n" + ",\n".join(f"      {json.dumps(f)}: %s" for f in fields) + "\n    }"
+            fh.write(head)
+            sep = ""
+            for row in rows:
+                fh.write(sep + item % tuple(json.dumps(row)[1:-1].split(", ")))
+                sep = ",\n    "
+            fh.write("\n  ]" + tail)
 
 
 def _complex_flag(s: str) -> complex:
@@ -105,10 +116,6 @@ def cmd_spinor(args) -> int:
     amp = (dirac._u_components if args.kind == "u" else dirac._v_components)(args.r, p)
     kind_sign = "+" if args.kind == "u" else "-"
     residual = float(np.linalg.norm(dirac.dirac_residual(kind_sign, args.r, p, (0.0, 0.0, 0.0, 0.0))))
-    rows = [
-        {"component": i + 1, "re": float(amp[i].real), "im": float(amp[i].imag)}
-        for i in range(4)
-    ]
     doc = {
         "command": "spinor",
         "inputs": {
@@ -120,10 +127,10 @@ def cmd_spinor(args) -> int:
             "pz": p.pz,
             "m": p.m,
         },
-        "rows": rows,
+        "rows": [(i + 1, float(amp[i].real), float(amp[i].imag)) for i in range(4)],
         "residual_norm": residual,
     }
-    _emit(doc, args.format, args.out, csv_fields=["component", "re", "im"])
+    _emit(doc, args.format, args.out, fields=("component", "re", "im"))
     return 0
 
 
@@ -131,25 +138,23 @@ def cmd_spinor(args) -> int:
 
 def cmd_hypersph(args) -> int:
     idx = hypersph.HypersphIndex(HalfInt.from_value(args.l), HalfInt.from_value(args.m))
-    fn = hypersph.m_assoc_dotted if args.dotted else hypersph.m_assoc
-    thetas, taus, phis, epss = _axes([args.theta, args.tau, args.phi, args.eps])
-    rows = []
-    for th in thetas:
-        for ta in taus:
-            for ph in phis:
-                for ep in epss:
-                    ang = hypersph.EulerAngles(phi=ph, eps=ep, theta=th, tau=ta)
-                    val = fn(idx, ang)
-                    rows.append(
-                        {"theta": th, "tau": ta, "phi": ph, "eps": ep,
-                         "re": val.real, "im": val.imag}
-                    )
+    fields = ("theta", "tau", "phi", "eps")
+    axes = dict(zip(fields, _axes([args.theta, args.tau, args.phi, args.eps])))
+    # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel once per
+    # (theta, tau) point, the phase once per (phi, eps) point
+    rows = assembly.sweep(
+        axes,
+        ("theta", "tau"),
+        lambda theta, tau: ((theta, tau), (hypersph.z_assoc(idx, theta, tau),)),
+        lambda phi, eps: ((phi, eps), (hypersph.phase(
+            idx.m, hypersph.EulerAngles(phi=phi, eps=eps), args.dotted),)),
+    )
     doc = {
         "command": "hypersph",
         "inputs": {"l": str(idx.l), "m": str(idx.m), "dotted": bool(args.dotted)},
-        "rows": rows,
+        "rows": ((*zk, *pk, v.real, v.imag) for zk, pk, (v,) in rows),
     }
-    _emit(doc, args.format, args.out, csv_fields=["theta", "tau", "phi", "eps", "re", "im"])
+    _emit(doc, args.format, args.out, fields=(*fields, "re", "im"))
     return 0
 
 
@@ -172,43 +177,14 @@ def cmd_wavefunction(args) -> int:
         radius=args.radius,
         sign_pair=args.sign_pair,
     )
-    axes = {}
-    scalars = {}
     specs = [getattr(args, name) for name in assembly.GRID_AXES]
-    for name, vals in zip(assembly.GRID_AXES, _axes(specs)):
-        if len(vals) == 1:
-            scalars[name] = vals[0]
-        else:
-            axes[name] = vals
-    base = assembly.GroupPoint(
-        (scalars.get("x1", 0.0), scalars.get("x2", 0.0), scalars.get("x3", 0.0),
-         scalars.get("x4", 0.0)),
-        hypersph.EulerAngles(
-            phi=scalars.get("phi", 0.0),
-            eps=scalars.get("eps", 0.0),
-            theta=scalars.get("theta", math.pi / 2),
-            tau=scalars.get("tau", 1.0),
-        ),
-    )
-    results = assembly.grid_eval(cfg, base, axes)
-
-    comp_names = ("psi1", "psi2", "psi1_dot", "psi2_dot")
-    rows = []
-    for gp, bi in results:
-        row = {
-            "x1": gp.x[0], "x2": gp.x[1], "x3": gp.x[2], "x4": gp.x[3],
-            "phi": gp.ang.phi, "eps": gp.ang.eps,
-            "theta": gp.ang.theta, "tau": gp.ang.tau,
-        }
-        for name, val in zip(comp_names, bi.as_tuple()):
-            row[f"{name}_re"] = val.real
-            row[f"{name}_im"] = val.imag
-            row[f"{name}_abs"] = abs(val)
-            # grid_eval forms each component as t_i * lo_i, the product of
-            # the two factors, so its modulus is this column bitwise
-            row[f"{name}_abs_factors"] = abs(val)
-        rows.append(row)
-    fields = list(rows[0].keys()) if rows else []
+    values = dict(zip(assembly.GRID_AXES, _axes(specs)))
+    # GRID_AXES is x1..x4 then the angles in EulerAngles field order; an
+    # axis of one value is fixed in the base point, the grid sweeps the rest
+    first = [vals[0] for vals in values.values()]
+    base = assembly.GroupPoint(tuple(first[:4]), hypersph.EulerAngles(*first[4:]))
+    axes = {name: vals for name, vals in values.items() if len(vals) > 1}
+    rows = assembly.grid_rows(cfg, base, axes)
     doc = {
         "command": "wavefunction",
         "inputs": {
@@ -218,10 +194,27 @@ def cmd_wavefunction(args) -> int:
             "radius": cfg.radius, "sign_pair": cfg.sign_pair,
             "px": cfg.p.px, "py": cfg.p.py, "pz": cfg.p.pz, "m": cfg.p.m,
         },
-        "rows": rows,
+        "rows": (_wavefunction_row(x, ang, psi) for x, ang, psi in rows),
     }
-    _emit(doc, args.format, args.out, csv_fields=fields)
+    _emit(doc, args.format, args.out, fields=_WAVEFUNCTION_FIELDS)
     return 0
+
+
+_WAVEFUNCTION_FIELDS = (
+    *assembly.GRID_AXES,
+    *(f"{name}_{part}" for name in ("psi1", "psi2", "psi1_dot", "psi2_dot")
+      for part in ("re", "im", "abs", "abs_factors")),
+)
+
+
+def _wavefunction_row(x, ang: hypersph.EulerAngles, psi) -> tuple:
+    cells = [*x, ang.phi, ang.eps, ang.theta, ang.tau]
+    for v in psi:
+        # each component is formed as t_i * L_i, the product of the two
+        # factors, so its modulus is also the abs_factors column bitwise
+        a = abs(v)
+        cells += (v.real, v.imag, a, a)
+    return tuple(cells)
 
 
 # ---------------------------------------------------------------- verify
@@ -234,12 +227,7 @@ def cmd_verify(args) -> int:
     del rd["elapsed"]
     doc = {"command": "verify", "inputs": {"suite": args.suite, "tol": args.tol},
            "report": rd}
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(doc, "json", args.out)
     return 0 if report.passed else 1
 
 

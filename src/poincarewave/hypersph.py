@@ -136,12 +136,13 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     compensated summation so grid sweeps are bitwise reproducible.
 
     At l = 1/2 both non-terminating factors are elementary and are taken
-    in closed form, so that kernel holds up to theta -> pi and until
-    cosh(tau/2) overflows (tau ~ 1420).  Every other factor is a ``hyp2f1``
-    series.  The non-terminating ones sit at k = -l (and at l = 0); near
-    their endpoints they slow and then raise TermCapExceeded (the theta
-    factor of m = l as theta -> pi) or NonConvergent (the tau factor of
-    l >= 3/2 once tanh^2(tau/2) rounds to 1).
+    in closed form, so that kernel holds up to theta -> pi and until its
+    value overflows (tau ~ 1408 near theta = pi/2).  Every other factor is
+    a ``hyp2f1`` series.  The non-terminating ones sit at k = -l (and at
+    l = 0); near their endpoints they slow and then raise TermCapExceeded
+    (the theta factor of m = l as theta -> pi) or NonConvergent (the tau
+    factor of l >= 3/2 once tanh^2(tau/2) rounds to 1).  A result that is
+    not finite raises OverflowError.
     """
     _check_open_domain(theta, tau)
     l, m = idx.l, idx.m
@@ -153,10 +154,10 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     comp = 0.0 + 0.0j  # Kahan carry
     for k in sum_index_values(idx):
         n = (m.twice - k.twice) // 2  # m - k, an integer
-        phase = _I_POWERS[n % 4]
+        unit = _I_POWERS[n % 4]
         a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
         term = (
-            phase
+            unit
             * t**n
             * h ** (-k.twice / 2.0)
             * _theta_factor(a1, b1, c1, t)
@@ -166,10 +167,15 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
         tv = total + yv
         comp = (tv - total) - yv
         total = tv
-    return prefactor * total
+    z = prefactor * total
+    if not cmath.isfinite(z):
+        raise OverflowError(f"Z^{l}_{m}(theta={theta}, tau={tau}) overflows")
+    return z
 
 
-def _phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:
+def phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:
+    """The phase e^{-m(eps + i phi)} of ``m_assoc``, or e^{-m(eps - i phi)}
+    of ``m_assoc_dotted`` when ``dotted``."""
     mval = m.twice / 2.0
     if dotted:
         return cmath.exp(-mval * (ang.eps - 1j * ang.phi))
@@ -178,13 +184,13 @@ def _phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:
 
 def m_assoc(idx: HypersphIndex, ang: EulerAngles) -> complex:
     """Associated function e^{-m(eps + i phi)} Z^l_m(theta, tau)."""
-    return _phase(idx.m, ang, False) * z_assoc(idx, ang.theta, ang.tau)
+    return phase(idx.m, ang, False) * z_assoc(idx, ang.theta, ang.tau)
 
 
 def m_assoc_dotted(idx: HypersphIndex, ang: EulerAngles) -> complex:
     """Dotted counterpart: same Z kernel with conjugated phase convention,
     e^{-m(eps - i phi)} Z^l_m(theta, tau)."""
-    return _phase(idx.m, ang, True) * z_assoc(idx, ang.theta, ang.tau)
+    return phase(idx.m, ang, True) * z_assoc(idx, ang.theta, ang.tau)
 
 
 def m_assoc_pair(
@@ -197,4 +203,4 @@ def m_assoc_pair(
     """
     z = z_assoc(idx, ang.theta, ang.tau)
     z_dot = z if idx_dot == idx else z_assoc(idx_dot, ang.theta, ang.tau)
-    return _phase(idx.m, ang, False) * z, _phase(idx_dot.m, ang, True) * z_dot
+    return phase(idx.m, ang, False) * z, phase(idx_dot.m, ang, True) * z_dot

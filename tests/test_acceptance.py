@@ -1,13 +1,15 @@
 """Acceptance gate: one check per numbered criterion, printed pass/fail.
 
 Criteria 1-8 exercise the library suites directly with their pinned
-tolerances; criterion 9 drives the installed CLI through subprocesses.
+tolerances; criterion 9 drives the CLI in `src/` through subprocesses.
 The whole gate must finish well under a minute.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -84,8 +86,10 @@ def test_criterion_8_assembly_factorization():
 
 
 def _cli(*argv):
+    src = Path(__file__).resolve().parent.parent / "src"
     return subprocess.run(
         [sys.executable, "-m", "poincarewave.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
     )

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -6,8 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from poincarewave import GRID_AXES, hypersph
 from poincarewave.cli import main
+from poincarewave.halfint import half
 
 
 def run(capsys, *argv):
@@ -82,6 +88,7 @@ def test_hypersph_bad_domain_exit_2(capsys):
     for argv in (
         ("--l", "1/2", "--m", "1/2", "--tau", "0"),
         ("--l", "7/2", "--m", "7/2", "--tau", "800"),  # cosh(tau/2)**7 overflows
+        ("--l", "1/2", "--m", "1/2", "--tau", "1410"),  # the kernel's product overflows
         ("--l", "inf", "--m", "1/2"),
     ):
         code, out, _ = run(capsys, "hypersph", *argv)
@@ -142,6 +149,63 @@ def test_half_kernel_tail_writes_finite_json(capsys):
         rows = _finite_json(out)["rows"]
         assert rows and all(math.isfinite(v) for row in rows for v in row.values()
                             if isinstance(v, float))
+
+
+def test_wavefunction_factor_overflow_exit_2(capsys):
+    base = ("wavefunction", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5", "--tau", "1400")
+    for argv, why in (
+        ((*base, "--m", "1", "--c1", "1e300"), "not finite"),  # a Lorentz factor entry
+        ((*base, "--m", "1e-10", "--pz", "1e10"), "overflows"),  # finite factors, their product
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert why in err
+
+
+def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys):
+    calls = [0]
+    z_assoc = hypersph.z_assoc
+
+    def counting(*args):
+        calls[0] += 1
+        return z_assoc(*args)
+
+    monkeypatch.setattr(hypersph, "z_assoc", counting)
+    code, out, _ = run(capsys, "hypersph", "--l", "7/2", "--m", "5/2", "--theta", "0.5:2.5:3",
+                       "--tau", "0.5:2:2", "--phi", "-1:2:3", "--eps", "-0.5:0.5:2")
+    assert code == 0
+    assert calls[0] == 6
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 36
+    idx = hypersph.HypersphIndex(half(7), half(5))
+    for row in rows:
+        ang = hypersph.EulerAngles(phi=row["phi"], eps=row["eps"], theta=row["theta"],
+                                   tau=row["tau"])
+        assert complex(row["re"], row["im"]) == hypersph.m_assoc(idx, ang)  # bitwise
+
+
+def test_error_at_last_grid_point_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "rows.json"
+    argv = ("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "0.5:3.5:4")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "3.5" in err
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("spinor", "--kind", "u", "--r", "1", "--pz", "0.75", "--m", "1"),
+    ("hypersph", "--l", "1", "--m", "0", "--theta", "0.5:2.5:3", "--eps", "0:1:2"),
+    ("wavefunction", "--m", "1", "--pz", "0.75", "--l", "1/2", "--kappa", "0.5",
+     "--kappa-dot", "0.5", "--x1", "0:1:2", "--theta", "0.5:2.5:2", "--tau", "0.4:2:2"),
+])
+def test_json_rows_written_as_the_indented_document(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_wavefunction_csv_factorization_columns(capsys):
@@ -230,3 +294,50 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["report"]["passed"] is True
+
+
+# Axis values: ordinary ones, valid on every axis, and the edges of the
+# domain, overflowing and non-finite ones.
+_VALUES = st.one_of(
+    st.floats(0.05, 3.0),
+    st.sampled_from([0.0, -1.0, 1e-300, math.pi, 40.0, 1410.0, 1e300, -1e300, math.nan,
+                     math.inf]),
+)
+_SPECS = st.one_of(
+    _VALUES.map(repr),
+    st.tuples(_VALUES, _VALUES, st.integers(0, 3)).map(lambda t: f"{t[0]!r}:{t[1]!r}:{t[2]}"),
+)
+_HYPERSPH = st.builds(
+    lambda lm, dotted, axes: ["hypersph", f"--l={lm[0]}", f"--m={lm[1]}", *dotted,
+                              *(f"--{k}={v}" for k, v in axes.items())],
+    st.sampled_from([("1/2", "1/2"), ("1/2", "-1/2"), ("1", "0"), ("1", "1"), ("3/2", "-3/2"),
+                     ("7/2", "5/2"), ("3/2", "-1/2"), ("1/2", "1"), ("x", "1/2")]),
+    st.sampled_from([(), ("--dotted",)]),
+    st.dictionaries(st.sampled_from(["theta", "tau", "phi", "eps"]), _SPECS, max_size=4),
+)
+_WAVEFUNCTION = st.builds(
+    lambda flags, axes: ["wavefunction", *(f"--{k}={v}" for k, v in {**flags, **axes}.items())],
+    st.fixed_dictionaries({
+        "m": st.sampled_from(["1", "1e-10", "-1"]),
+        "pz": st.sampled_from(["0.75", "0", "1e10", "1e200"]),
+        "l": st.sampled_from(["1/2", "3/2"]),
+        "kappa": st.sampled_from(["0.5", "0.5,0.1", "-0.5"]),
+        "kappa-dot": st.sampled_from(["0.5", "0.5,-0.1"]),
+        "c1": st.sampled_from(["1", "0.6,0.2", "1e300"]),
+        "sign-pair": st.sampled_from(["+-", "-+"]),
+    }),
+    st.dictionaries(st.sampled_from(GRID_AXES), _SPECS, max_size=3),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(argv=st.one_of(_HYPERSPH, _WAVEFUNCTION))
+def test_grid_commands_exit_0_with_finite_json_or_2_with_nothing(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2), argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+    else:
+        _finite_json(out.getvalue())

@@ -134,6 +134,14 @@ def test_pair_matches_separate_calls_bitwise():
         assert got == (m_assoc(idx, ang), m_assoc_dotted(idx_dot, ang))
 
 
+def test_kernel_overflow_raises():
+    # the l = 1/2 product prefactor * sum overflows before cosh(tau/2) does
+    for m in (1, -1):
+        with pytest.raises(OverflowError):
+            z_assoc(HypersphIndex(half(1), half(m)), math.pi / 2, 1410.0)
+    assert cmath.isfinite(z_assoc(HypersphIndex(half(1), half(1)), math.pi / 2, 1400.0))
+
+
 # theta -> pi and tau out to 50: where the l = 1/2 series used to run out
 # of terms (theta >~ 3.135, tau >~ 13)
 TAIL_THETAS = (1e-4, 0.5, 2.0, 3.1, math.pi - 1e-4)
