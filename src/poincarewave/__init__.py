@@ -20,11 +20,9 @@ from .assembly import (
 from .dirac import (
     DiracAmplitude,
     FourMomentum,
-    GammaSet,
     adjoint,
     dirac_residual,
     dirac_residual_fd,
-    gamma_set,
     momentum_slash,
     plane_wave,
     u_amplitude,
@@ -54,20 +52,15 @@ from .hypersph import (
     z_assoc,
 )
 from .radial import (
-    LambdaSet,
     RadialParams,
     RadialPoint,
     argument_scale,
-    bessel_ode_residual,
-    f1_derivative,
     f1_solution,
     f4_from_f1,
     full_system_residual,
-    lambda_set,
     reduced_system_residual,
-    resolve_scale,
 )
-from .specfun import Hyp2F1Params, bessel_j_half, bessel_j_half_derivative, hyp2f1, pochhammer
+from .specfun import bessel_j_half, bessel_j_half_derivative, hyp2f1
 
 __version__ = "0.1.0"
 
@@ -92,11 +85,9 @@ __all__ = [
     "translation_factor",
     "DiracAmplitude",
     "FourMomentum",
-    "GammaSet",
     "adjoint",
     "dirac_residual",
     "dirac_residual_fd",
-    "gamma_set",
     "momentum_slash",
     "plane_wave",
     "u_amplitude",
@@ -122,23 +113,16 @@ __all__ = [
     "m_assoc_pair",
     "sum_index_values",
     "z_assoc",
-    "LambdaSet",
     "RadialParams",
     "RadialPoint",
     "argument_scale",
-    "bessel_ode_residual",
-    "f1_derivative",
     "f1_solution",
     "f4_from_f1",
     "full_system_residual",
-    "lambda_set",
     "reduced_system_residual",
-    "resolve_scale",
-    "Hyp2F1Params",
     "bessel_j_half",
     "bessel_j_half_derivative",
     "hyp2f1",
-    "pochhammer",
     "RunReport",
     "run_suite",
 ]

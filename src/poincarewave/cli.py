@@ -55,6 +55,10 @@ def _axes(specs: list[str]) -> list[list[float]]:
         raise SizeCapExceeded(f"grid of {total} points exceeds cap {assembly.GRID_SIZE_CAP}")
     out = []
     for spec, lo, hi, n in parsed:
+        # np.linspace prints RuntimeWarnings for a span that is not finite,
+        # so such a span is refused before it runs
+        if n is not None and not math.isfinite(hi - lo):
+            raise DomainError(f"grid axis {spec!r} has a non-finite value")
         values = [lo] if n is None else [float(v) for v in np.linspace(lo, hi, n)]
         if not all(math.isfinite(v) for v in values):
             raise DomainError(f"grid axis {spec!r} has a non-finite value")

@@ -33,24 +33,9 @@ GAMMA0 = np.block([[SIGMA[0], _ZERO2], [_ZERO2, -SIGMA[0]]])
 GAMMA1 = np.block([[_ZERO2, SIGMA[1]], [-SIGMA[1], _ZERO2]])
 GAMMA2 = np.block([[_ZERO2, SIGMA[2]], [-SIGMA[2], _ZERO2]])
 GAMMA3 = np.block([[_ZERO2, SIGMA[3]], [-SIGMA[3], _ZERO2]])
+GAMMA = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
 
 METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-@dataclass(frozen=True)
-class GammaSet:
-    g0: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    g3: np.ndarray
-
-    def as_tuple(self) -> tuple[np.ndarray, ...]:
-        return (self.g0, self.g1, self.g2, self.g3)
-
-
-def gamma_set() -> GammaSet:
-    """The four displayed matrices (fresh copies; entries are exact units)."""
-    return GammaSet(GAMMA0.copy(), GAMMA1.copy(), GAMMA2.copy(), GAMMA3.copy())
 
 
 def _require_finite(*components: float) -> None:
@@ -103,8 +88,8 @@ class FourMomentum:
             object.__setattr__(p, name, float(val))
         return p
 
-    def is_on_shell(self, rtol: float = ON_SHELL_RTOL) -> bool:
-        return self.m > 0.0 and abs(self.E - self.shell_energy) <= rtol * self.shell_energy
+    def is_on_shell(self) -> bool:
+        return self.m > 0.0 and abs(self.E - self.shell_energy) <= ON_SHELL_RTOL * self.shell_energy
 
 
 def momentum_slash(p: FourMomentum) -> np.ndarray:
@@ -190,20 +175,20 @@ def dirac_residual(
 
 
 def dirac_residual_fd(
-    kind: Literal["+", "-"], r: int, p: FourMomentum, x: Sequence[float], h: float = 1e-4
+    kind: Literal["+", "-"], r: int, p: FourMomentum, x: Sequence[float]
 ) -> np.ndarray:
-    """Same residual with central finite differences replacing d_nu."""
+    """Same residual with central finite differences of step 1e-4 replacing d_nu."""
+    h = 1e-4
     amp = _u_components(r, p) if kind == "+" else _v_components(r, p)
     sign = "+" if kind == "+" else "-"
 
     def psi(pt):
         return amp * plane_wave(pt, p, sign)
 
-    gammas = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
     coords = (3, 0, 1, 2)  # gamma0 pairs with the time slot x4
     res = -p.m * psi(x)
     x = list(x)
-    for g, c in zip(gammas, coords):
+    for g, c in zip(GAMMA, coords):
         xp = list(x)
         xm = list(x)
         xp[c] += h

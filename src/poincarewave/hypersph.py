@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
-from .specfun import hyp2f1
+from .specfun import _check_pole, hyp2f1
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -85,8 +85,6 @@ def index_is_evaluable(idx: HypersphIndex) -> bool:
     non-positive c parameter whose pole falls inside the terminating sum);
     those pairs raise PoleInDenominator on evaluation.
     """
-    from .specfun import _check_pole
-
     for k in sum_index_values(idx):
         a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
         try:

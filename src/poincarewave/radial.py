@@ -9,9 +9,9 @@ then to a single second-order Bessel-type equation
 solved by z J_{+-l}(a z).  The coefficient 4 kappa kappa_dot fixes the
 argument scale at a = 2 sqrt(kappa kappa_dot), and the evaluator uses that
 closed form, ``argument_scale``.  The printed solution writes
-sqrt(kappa kappa_dot); ``resolve_scale`` settles the factor of two by direct
-residual comparison, and the ``radial`` verification suite runs it as the
-check that the closed form is the right one.
+sqrt(kappa kappa_dot); ``verify.resolve_scale`` settles the factor of two by
+direct residual comparison, as part of the ``radial`` verification suite.
+The residual functions here are the field equations that suite checks.
 """
 
 from __future__ import annotations
@@ -20,34 +20,13 @@ import cmath
 from dataclasses import dataclass
 from typing import Literal
 
-import numpy as np
-
 from .errors import NonPositiveProduct
 from .halfint import HalfInt
 from . import specfun
-from .dirac import SIGMA
 
 SignPair = Literal["+-", "-+"]
 
 _ONE = HalfInt(2)
-
-
-@dataclass(frozen=True)
-class LambdaSet:
-    lam: tuple[np.ndarray, np.ndarray, np.ndarray]
-    lam_star: tuple[np.ndarray, np.ndarray, np.ndarray]
-    c: float
-    c_dot: float
-
-
-def lambda_set(c: float, c_dot: float) -> LambdaSet:
-    """Lambda_i = (c/2) sigma_i and Lambda*_i = (c_dot/2) sigma_i.
-
-    At c = c_dot = 2 the matrices coincide with the Pauli matrices exactly.
-    """
-    lam = tuple(0.5 * c * SIGMA[i] for i in (1, 2, 3))
-    lam_star = tuple(0.5 * c_dot * SIGMA[i] for i in (1, 2, 3))
-    return LambdaSet(lam, lam_star, c, c_dot)
 
 
 def _positive_half_integer(q: HalfInt) -> bool:
@@ -110,20 +89,13 @@ def f1_solution(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
     return _f1_with_derivatives(rp, pt.z, a)[0]
 
 
-def f1_derivative(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
-    return _f1_with_derivatives(rp, pt.z, a)[1]
-
-
 def f4_from_f1(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
     """f4 = (1 / 2 kappa) ((l+1)/z f1 - f1'), derivative taken analytically.
 
     Equals (a^2 / 2 kappa) z (C1 J_{l+1}(az) - C2 J_{-l-1}(az)) by the
     Bessel recurrences.
     """
-    z = pt.z
-    f1, d1, _ = _f1_with_derivatives(rp, z, a)
-    lp1 = rp.l.twice / 2.0 + 1.0
-    return (lp1 / z * f1 - d1) / (2.0 * rp.kappa)
+    return _f4_with_derivative(rp, pt.z, a)[0]
 
 
 def _f4_with_derivative(rp: RadialParams, z: float, a: float):
@@ -146,48 +118,10 @@ def _positive_product(kappa: complex, kappa_dot: complex) -> complex:
 def argument_scale(kappa: complex, kappa_dot: complex) -> float:
     """Bessel argument scale a = 2 sqrt(kappa kappa_dot), in closed form.
 
-    Bitwise the value ``resolve_scale`` returns when the doubled candidate
-    wins, which the ``radial`` verification suite checks.
+    Bitwise the value ``verify.resolve_scale`` returns when the doubled
+    candidate wins, which the ``radial`` verification suite checks.
     """
     return 2.0 * cmath.sqrt(_positive_product(kappa, kappa_dot)).real
-
-
-def resolve_scale(kappa: complex, kappa_dot: complex) -> float:
-    """Bessel argument scale a such that z J_l(a z) solves the radial ODE.
-
-    The equation's coefficient 4 kappa kappa_dot implies a = 2 sqrt(k kd)
-    while the printed solution writes sqrt(k kd); the two candidates are
-    compared by their ODE residuals at l = 1/2 over z in [0.5, 20] and the
-    winner is returned.  The doubled candidate wins at machine precision,
-    so the evaluator uses ``argument_scale`` and this comparison is the
-    ``radial`` verification suite's check of it.
-    """
-    root = cmath.sqrt(_positive_product(kappa, kappa_dot)).real
-    half = HalfInt(1)
-    probe = RadialParams(kappa, kappa_dot, 1.0, 0.3, half, half)
-    best_a, best_res = None, None
-    for a in (root, 2.0 * root):
-        worst = 0.0
-        for z in np.geomspace(0.5, 20.0, 9):
-            r, scale = _bessel_ode_parts(probe, float(z), a)
-            worst = max(worst, abs(r) / scale)
-        if best_res is None or worst < best_res:
-            best_a, best_res = a, worst
-    return best_a
-
-
-def _bessel_ode_parts(rp: RadialParams, z: float, a: float):
-    f1, d1, d2 = _f1_with_derivatives(rp, z, a)
-    lsq = (rp.l.twice / 2.0) ** 2
-    kk4 = 4.0 * rp.kappa * rp.kappa_dot
-    res = z * z * d2 - z * d1 - (lsq - 1.0 - kk4 * z * z) * f1
-    scale = abs(z * z * d2) + abs(z * d1) + abs((lsq - 1.0) * f1) + abs(kk4 * z * z * f1)
-    return res, max(scale, 1e-300)
-
-
-def bessel_ode_residual(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
-    """z^2 f1'' - z f1' - (l^2 - 1 - 4 kappa kappa_dot z^2) f1."""
-    return _bessel_ode_parts(rp, pt.z, a)[0]
 
 
 def reduced_system_residual(

@@ -9,7 +9,6 @@ precision belongs to the verification oracles, not to this kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     IntegerOrderUnsupported,
@@ -24,32 +23,11 @@ SERIES_RELTOL = 1e-16
 SERIES_TERM_CAP = 10**6
 
 
-def pochhammer(a: float, j: int) -> float:
-    """Rising factorial (a)_j = a (a+1) ... (a+j-1), with (a)_0 = 1."""
-    if j < 0:
-        raise ValueError("pochhammer order must be non-negative")
-    out = 1.0
-    for i in range(j):
-        out *= a + i
-    return out
-
-
 def _nonpos_int(v: float) -> int | None:
     """Return int(v) when v is a non-positive integer, else None."""
     if v <= 0 and v == round(v):
         return int(round(v))
     return None
-
-
-@dataclass(frozen=True)
-class Hyp2F1Params:
-    a: float
-    b: float
-    c: float
-    x: complex
-
-    def __post_init__(self) -> None:
-        _check_pole(self.a, self.b, self.c)
 
 
 def _termination_index(a: float, b: float) -> int | None:

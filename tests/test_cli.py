@@ -90,10 +90,12 @@ def test_hypersph_bad_domain_exit_2(capsys):
         ("--l", "7/2", "--m", "7/2", "--tau", "800"),  # cosh(tau/2)**7 overflows
         ("--l", "1/2", "--m", "1/2", "--tau", "1410"),  # the kernel's product overflows
         ("--l", "inf", "--m", "1/2"),
+        ("--l", "1/2", "--m", "1/2", "--theta=-1e308:1e308:3"),  # the span overflows
     ):
-        code, out, _ = run(capsys, "hypersph", *argv)
+        code, out, err = run(capsys, "hypersph", *argv)
         assert code == 2, argv
         assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_wavefunction_non_finite_axis_exit_2(capsys):
@@ -244,6 +246,13 @@ def test_imports_do_not_load_mpmath():
             "assert 'mpmath' not in sys.modules, 'mpmath imported'; "
             "from poincarewave import RunReport, run_suite")
     subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+
+
+def test_every_exported_name_resolves():
+    import poincarewave
+
+    missing = [name for name in poincarewave.__all__ if not hasattr(poincarewave, name)]
+    assert missing == []
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from poincarewave.dirac import (
+    GAMMA,
     METRIC,
     FourMomentum,
     adjoint,
     dirac_residual,
     dirac_residual_fd,
-    gamma_set,
     momentum_slash,
     plane_wave,
     u_amplitude,
@@ -19,7 +19,7 @@ from poincarewave.errors import OffShellError
 
 
 def test_gamma_anticommutators_exact():
-    gs = gamma_set().as_tuple()
+    gs = GAMMA
     for mu in range(4):
         for nu in range(4):
             anti = gs[mu] @ gs[nu] + gs[nu] @ gs[mu]
@@ -27,11 +27,11 @@ def test_gamma_anticommutators_exact():
 
 
 def test_gamma_entries():
-    gs = gamma_set()
-    assert np.array_equal(gs.g0, np.diag([1, 1, -1, -1]).astype(complex))
-    assert gs.g1[0, 3] == 1 and gs.g1[3, 0] == -1
-    assert gs.g2[0, 3] == -1j and gs.g2[3, 0] == -1j
-    assert gs.g3[0, 2] == 1 and gs.g3[1, 3] == -1
+    g0, g1, g2, g3 = GAMMA
+    assert np.array_equal(g0, np.diag([1, 1, -1, -1]).astype(complex))
+    assert g1[0, 3] == 1 and g1[3, 0] == -1
+    assert g2[0, 3] == -1j and g2[3, 0] == -1j
+    assert g3[0, 2] == 1 and g3[1, 3] == -1
 
 
 def test_on_shell_constructor():
@@ -109,8 +109,8 @@ def test_analytic_residual_vanishes():
 def test_fd_residual_matches_analytic():
     p = FourMomentum.on_shell(0.3, -0.2, 0.7, 1.0)
     x = (0.1, -0.4, 2.0, 0.8)
-    assert np.linalg.norm(dirac_residual_fd("+", 1, p, x, h=1e-4)) < 1e-6
-    assert np.linalg.norm(dirac_residual_fd("-", 2, p, x, h=1e-4)) < 1e-6
+    assert np.linalg.norm(dirac_residual_fd("+", 1, p, x)) < 1e-6
+    assert np.linalg.norm(dirac_residual_fd("-", 2, p, x)) < 1e-6
 
 
 def test_off_shell_negative_control():

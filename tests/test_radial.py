@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from poincarewave.errors import NonPositiveProduct
@@ -8,39 +7,19 @@ from poincarewave.halfint import half
 from poincarewave.radial import (
     RadialParams,
     RadialPoint,
+    _f1_with_derivatives,
     argument_scale,
-    bessel_ode_residual,
-    f1_derivative,
     f1_solution,
     f4_from_f1,
     full_system_residual,
-    lambda_set,
     reduced_system_residual,
-    resolve_scale,
 )
 from poincarewave.specfun import bessel_j_half
+from poincarewave.verify import _bessel_ode_parts, resolve_scale
 
 
 def params(kappa=0.5, kappa_dot=0.5, C1=1.0, C2=0.0, l=half(1)):
     return RadialParams(kappa=kappa, kappa_dot=kappa_dot, C1=C1, C2=C2, l=l, l_dot=l)
-
-
-class TestLambdaSet:
-    def test_pauli_at_c_two(self):
-        ls = lambda_set(2.0, 2.0)
-        assert np.array_equal(ls.lam[2], np.diag([1.0, -1.0]).astype(complex))
-        assert np.array_equal(ls.lam[0], np.array([[0, 1], [1, 0]], dtype=complex))
-
-    def test_independent_scales(self):
-        ls = lambda_set(1.0, 2.0)
-        assert np.array_equal(ls.lam[2], np.diag([0.5, -0.5]).astype(complex))
-        assert np.array_equal(ls.lam_star[2], np.diag([1.0, -1.0]).astype(complex))
-
-    def test_commutator_algebra(self):
-        # [Lambda_1, Lambda_2] = i c^2/2 * Lambda_3 / (c/2) ... scale checks out
-        ls = lambda_set(2.0, 2.0)
-        comm = ls.lam[0] @ ls.lam[1] - ls.lam[1] @ ls.lam[0]
-        np.testing.assert_allclose(comm, 2j * ls.lam[2])
 
 
 class TestParamsValidation:
@@ -62,6 +41,8 @@ class TestParamsValidation:
 
 
 class TestResolveScale:
+    # the scale decision is part of the radial verification suite
+
     def test_doubled_root_wins(self):
         assert resolve_scale(0.5, 0.5) == pytest.approx(1.0)
         assert resolve_scale(1.0, 1.0) == pytest.approx(2.0)
@@ -111,31 +92,31 @@ class TestClosedForms:
 
     def test_f1_derivative_matches_fd(self):
         rp = params(C1=0.8 + 0.1j, C2=-0.4 + 0.6j, l=half(3))
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         z, h = 2.3, 1e-6
         fd = (
             f1_solution(rp, RadialPoint(z + h), a) - f1_solution(rp, RadialPoint(z - h), a)
         ) / (2 * h)
-        assert f1_derivative(rp, RadialPoint(z), a) == pytest.approx(fd, rel=1e-8)
+        assert _f1_with_derivatives(rp, z, a)[1] == pytest.approx(fd, rel=1e-8)
 
 
 class TestResiduals:
     def test_ode_residual_vanishes(self):
         for lt in (1, 3, 5):
             rp = params(C1=0.7, C2=0.3, l=half(lt))
-            a = resolve_scale(rp.kappa, rp.kappa_dot)
+            a = argument_scale(rp.kappa, rp.kappa_dot)
             for z in (0.5, 1.7, 8.0):
-                assert abs(bessel_ode_residual(rp, RadialPoint(z), a)) < 1e-10
+                assert abs(_bessel_ode_parts(rp, z, a)[0]) < 1e-10
 
     def test_ode_residual_detects_non_solution(self):
         # wrong scale: z J_l(sqrt(kappa kappa_dot) z) fails the equation
         rp = params(kappa=1.0, kappa_dot=1.0)
-        res = bessel_ode_residual(rp, RadialPoint(2.0), 1.0)
+        res = _bessel_ode_parts(rp, 2.0, 1.0)[0]
         assert abs(res) > 1e-2
 
     def test_reduced_system_vanishes(self):
         rp = params(C1=0.7 - 0.2j, C2=0.3 + 0.5j, l=half(3))
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         for z in (0.6, 2.0, 11.0):
             r1, r2 = reduced_system_residual(rp, RadialPoint(z), a)
             assert abs(r1) < 1e-12 and abs(r2) < 1e-12
@@ -143,13 +124,13 @@ class TestResiduals:
     def test_reduced_system_needs_equal_masses(self):
         # the f4 prefactor 1/(2 kappa) closes the pair only for kappa = kappa_dot
         rp = params(kappa=1.0, kappa_dot=0.25)
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         r1, r2 = reduced_system_residual(rp, RadialPoint(1.5), a)
         assert max(abs(r1), abs(r2)) > 1e-3
 
     def test_full_system_vanishes_plus_minus(self):
         rp = params(C1=1.0, C2=0.4, l=half(3))
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         for z in (0.6, 2.0, 11.0):
             for e in full_system_residual(rp, RadialPoint(z), a, "+-"):
                 assert abs(e) < 1e-12
@@ -157,7 +138,7 @@ class TestResiduals:
     def test_full_system_other_pair_does_not_vanish(self):
         # under f2 = -f1, f3 = +f4 the same radial profile is not a solution
         rp = params()
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         res = full_system_residual(rp, RadialPoint(1.0), a, "-+")
         assert max(abs(e) for e in res) > 1e-2
 
@@ -165,7 +146,7 @@ class TestResiduals:
         # the substitution collapses the four equations pairwise:
         # e2 = s e1 and e3 = -s e4 exactly, for either sign pair
         rp = params(C1=0.3, C2=0.8, l=half(5))
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         for signs, s in (("+-", 1.0), ("-+", -1.0)):
             e1, e2, e3, e4 = full_system_residual(rp, RadialPoint(1.7), a, signs)
             assert e2 == pytest.approx(s * e1, rel=1e-12, abs=1e-12)
@@ -173,7 +154,7 @@ class TestResiduals:
 
     def test_perturbed_f4_breaks_first_equation(self):
         rp = params()
-        a = resolve_scale(rp.kappa, rp.kappa_dot)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
         pt = RadialPoint(1.0)
         f1 = f1_solution(rp, pt, a)
         f4 = f4_from_f1(rp, pt, a)

@@ -10,27 +10,10 @@ from poincarewave.errors import (
 )
 from poincarewave.halfint import half
 from poincarewave.specfun import (
-    Hyp2F1Params,
     bessel_j_half,
     bessel_j_half_derivative,
     hyp2f1,
-    pochhammer,
 )
-
-
-class TestPochhammer:
-    def test_order_zero_is_one(self):
-        assert pochhammer(3.0, 0) == 1.0
-
-    def test_vanishing_at_nonpositive_integer(self):
-        assert pochhammer(-1.0, 2) == 0.0
-
-    def test_half_integer(self):
-        assert pochhammer(0.5, 3) == pytest.approx(15.0 / 8.0)
-
-    def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
-            pochhammer(1.0, -1)
 
 
 class TestHyp2F1:
@@ -74,12 +57,6 @@ class TestHyp2F1:
         # a = -1 terminates at j = 1; pole of c = -1 sits at j = 2
         got = hyp2f1(-1.0, 2.0, -1.0, 0.5)
         assert got == pytest.approx(2.0)
-
-    def test_params_type_validates(self):
-        with pytest.raises(PoleInDenominator):
-            Hyp2F1Params(0.3, 0.7, -2.0, 0.1)
-        p = Hyp2F1Params(-1.0, 2.0, 3.0, 0.5)
-        assert p.c == 3.0
 
 
 class TestBesselHalf:
