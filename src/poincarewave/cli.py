@@ -42,15 +42,21 @@ def _axes(specs: list[str]) -> list[list[float]]:
     parsed = []
     total = 1
     for spec in specs:
-        if ":" in spec:
-            lo, hi, n = spec.split(":")
-            n = int(n)
+        try:
+            if ":" in spec:
+                lo, hi, n = spec.split(":")
+                lo, hi, n = float(lo), float(hi), int(n)
+            else:
+                lo, hi, n = float(spec), None, None
+        except ValueError:
+            raise DomainError(
+                f"grid axis {spec!r} is neither 'value' nor 'lo:hi:n' with an integer n"
+            ) from None
+        if n is not None:
             if n < 1:
                 raise DomainError(f"grid axis needs at least one point, got {n}")
-            parsed.append((spec, float(lo), float(hi), n))
             total *= n
-        else:
-            parsed.append((spec, float(spec), None, None))
+        parsed.append((spec, lo, hi, n))
     if total > assembly.GRID_SIZE_CAP:
         raise SizeCapExceeded(f"grid of {total} points exceeds cap {assembly.GRID_SIZE_CAP}")
     out = []

@@ -13,12 +13,14 @@ k > 0, and no limiting prescription is adopted at the endpoints.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
-from .specfun import _check_pole, hyp2f1
+from .specfun import GaussSeries
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -78,6 +80,79 @@ def _term_params(idx: HypersphIndex, k: HalfInt):
     return a1, b1, c1, a2, b1, c2
 
 
+class Pole:
+    """A factor whose Gauss series meets a pole of its c parameter before
+    it terminates.  Calling it raises a fresh PoleInDenominator: a stored
+    instance raised again would keep growing its traceback."""
+
+    __slots__ = ("message",)
+
+    def __init__(self, message: str):
+        self.message = message
+
+    def __call__(self, x: complex) -> complex:
+        raise PoleInDenominator(self.message)
+
+
+def _compile(a: float, b: float, c: float) -> GaussSeries | Pole:
+    try:
+        return GaussSeries(a, b, c)
+    except PoleInDenominator as exc:
+        return Pole(str(exc))
+
+
+class KernelTerm(NamedTuple):
+    """The k-term i^n tan^n(theta/2) tanh^{-k}(tau/2) F_theta F_tau, n = m - k.
+
+    ``theta`` is F_theta as a function of -tan^2(theta/2), ``tau`` is F_tau
+    as a function of tanh^2(tau/2); None marks the l = 1/2 factor that
+    ``z_assoc`` takes in closed form.
+    """
+
+    unit: complex  # i^n
+    n: int
+    exponent: float  # -k
+    theta: GaussSeries | Pole | None
+    tau: GaussSeries | Pole | None
+
+
+@dataclass(frozen=True)
+class KernelPlan:
+    """What Z^l_m needs that depends on (l, m) alone.
+
+    ``terms`` runs over k = -l ... l and stops at the first factor that is
+    a ``Pole``; ``pole`` is that factor's message, None when the index is
+    evaluable.
+    """
+
+    terms: tuple[KernelTerm, ...]
+    pole: str | None
+
+
+def kernel_plan(idx: HypersphIndex) -> KernelPlan:
+    """The compiled k-sum of Z^l_m, built on first use and kept for the
+    last 64 indices used."""
+    return _compiled_plan(idx.l.twice, idx.m.twice)
+
+
+# Keyed by (2l, 2m): hashing two ints costs a tenth of hashing the index.
+@functools.lru_cache(maxsize=64)
+def _compiled_plan(l_twice: int, m_twice: int) -> KernelPlan:
+    idx = HypersphIndex(HalfInt(l_twice), HalfInt(m_twice))
+    terms = []
+    for k in sum_index_values(idx):
+        n = (idx.m.twice - k.twice) // 2  # m - k, an integer
+        a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
+        # the two non-terminating triples of l = 1/2 (see z_assoc)
+        theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else _compile(a1, b1, c1)
+        tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else _compile(a2, b2, c2)
+        terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
+        poles = [f.message for f in (theta, tau) if isinstance(f, Pole)]
+        if poles:
+            return KernelPlan(tuple(terms), poles[0])
+    return KernelPlan(tuple(terms), None)
+
+
 def index_is_evaluable(idx: HypersphIndex) -> bool:
     """True when no k-term of Z^l_m hits a pole of a denominator parameter.
 
@@ -85,39 +160,7 @@ def index_is_evaluable(idx: HypersphIndex) -> bool:
     non-positive c parameter whose pole falls inside the terminating sum);
     those pairs raise PoleInDenominator on evaluation.
     """
-    for k in sum_index_values(idx):
-        a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
-        try:
-            _check_pole(a1, b1, c1)
-            _check_pole(a2, b2, c2)
-        except PoleInDenominator:
-            return False
-    return True
-
-
-def _theta_factor(a: float, b: float, c: float, t: float) -> complex:
-    """2F1(a, b; c; -t^2), with t = tan(theta/2).
-
-    (1, 1; 2), the one non-terminating triple at l = 1/2, is
-    log(1 + t^2)/t^2 (DLMF 15.4.2); t^2 underflows to 0 only where the
-    series is 1 to double precision.
-    """
-    if (a, b, c) == (1.0, 1.0, 2.0):
-        t2 = t * t
-        return math.log1p(t2) / t2 if t2 else 1.0
-    return hyp2f1(a, b, c, -t * t)
-
-
-def _tau_factor(a: float, b: float, c: float, tau: float, h: float) -> complex:
-    """2F1(a, b; c; h^2), with h = tanh(tau/2).
-
-    (1/2, 1; 3/2), the one non-terminating triple at l = 1/2, is
-    atanh(h)/h = (tau/2)/h (DLMF 15.4.3), taken from tau itself: h
-    rounds to 1 for tau >~ 38, where atanh(h) would be infinite.
-    """
-    if (a, b, c) == (0.5, 1.0, 1.5):
-        return (0.5 * tau) / h
-    return hyp2f1(a, b, c, h * h)
+    return kernel_plan(idx).pole is None
 
 
 def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
@@ -132,34 +175,40 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     tanh^{-k} uses the principal real branch (its base is positive on the
     open domain).  The k-sum is accumulated in order k = -l ... l with
     compensated summation so grid sweeps are bitwise reproducible.
+    Everything that depends on (l, m) alone comes from ``kernel_plan``.
 
     At l = 1/2 both non-terminating factors are elementary and are taken
     in closed form, so that kernel holds up to theta -> pi and until its
-    value overflows (tau ~ 1408 near theta = pi/2).  Every other factor is
-    a ``hyp2f1`` series.  The non-terminating ones sit at k = -l (and at
-    l = 0); near their endpoints they slow and then raise TermCapExceeded
-    (the theta factor of m = l as theta -> pi) or NonConvergent (the tau
-    factor of l >= 3/2 once tanh^2(tau/2) rounds to 1).  A result that is
-    not finite raises OverflowError.
+    value overflows (tau ~ 1408 near theta = pi/2):
+    2F1(1, 1; 2; -t^2) = log(1 + t^2)/t^2 (DLMF 15.4.2), where t^2
+    underflows to 0 only where the series is 1 to double precision, and
+    2F1(1/2, 1; 3/2; h^2) = atanh(h)/h = (tau/2)/h (DLMF 15.4.3), taken
+    from tau itself since h rounds to 1 for tau >~ 38.  Every other factor
+    is a compiled ``GaussSeries``.  The non-terminating ones sit at k = -l
+    (and at l = 0); near their endpoints they slow and then raise
+    TermCapExceeded (the theta factor of m = l as theta -> pi) or
+    NonConvergent (the tau factor of l >= 3/2 once tanh^2(tau/2) rounds to
+    1).  A result that is not finite raises OverflowError.
     """
     _check_open_domain(theta, tau)
+    plan = kernel_plan(idx)
     l, m = idx.l, idx.m
     t = math.tan(0.5 * theta)
     h = math.tanh(0.5 * tau)
     prefactor = math.cos(0.5 * theta) ** l.twice * math.cosh(0.5 * tau) ** l.twice
+    t2 = t * t
+    x = complex(-t2)  # the series arguments, converted once, not per factor
+    y = complex(h * h)
 
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan carry
-    for k in sum_index_values(idx):
-        n = (m.twice - k.twice) // 2  # m - k, an integer
-        unit = _I_POWERS[n % 4]
-        a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
+    for unit, n, exponent, theta_f, tau_f in plan.terms:
         term = (
             unit
             * t**n
-            * h ** (-k.twice / 2.0)
-            * _theta_factor(a1, b1, c1, t)
-            * _tau_factor(a2, b2, c2, tau, h)
+            * h**exponent
+            * (theta_f(x) if theta_f is not None else (math.log1p(t2) / t2 if t2 else 1.0))
+            * (tau_f(y) if tau_f is not None else (0.5 * tau) / h)
         )
         yv = term - comp
         tv = total + yv

@@ -21,6 +21,10 @@ from .halfint import HalfInt
 
 SERIES_RELTOL = 1e-16
 SERIES_TERM_CAP = 10**6
+# Term ratios a GaussSeries keeps.  The non-terminating kernel factors of
+# l = 7/2, m = 7/2 need about 300 terms at theta = 2.5; verify runs series
+# of ~10^4 terms, which a cap keeps from being stored.
+RATIO_CACHE_CAP = 512
 
 
 def _nonpos_int(v: float) -> int | None:
@@ -61,23 +65,89 @@ def _check_pole(a: float, b: float, c: float) -> int | None:
     return jmax
 
 
-def _sum_series(a: float, b: float, c: float, x: complex, jmax: int | None) -> complex:
-    s = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    j = 0
-    while True:
-        if jmax is not None and j >= jmax:
+class GaussSeries:
+    """The Gauss series 2F1(a, b; c; x) compiled for one triple (a, b, c).
+
+    Everything that does not depend on x is worked out once: the pole
+    check (which raises PoleInDenominator here, not at call time), the
+    termination index ``jmax`` and the term ratios
+    (a+j)(b+j)/((c+j)(j+1)) of DLMF 15.2.1, each applied as
+    ``term *= r * x`` in the order ``hyp2f1`` has always used, so values
+    are bitwise those of a term-by-term sum.  ``ratios`` holds at most
+    RATIO_CACHE_CAP of them: all of a terminating series up to that
+    length, and for a non-terminating one the prefix its calls have
+    needed so far.  Ratios past the cap are computed inline and not kept,
+    so a series that runs to SERIES_TERM_CAP holds no more memory than
+    one of RATIO_CACHE_CAP terms.  A grown prefix is published by
+    replacing the tuple, never by mutating it, so concurrent calls only
+    ever read a complete prefix.
+    """
+
+    __slots__ = ("a", "b", "c", "jmax", "ratios", "_pfaff")
+
+    def __init__(self, a: float, b: float, c: float):
+        self.a, self.b, self.c = a, b, c
+        self.jmax = _check_pole(a, b, c)
+        n = 0 if self.jmax is None else min(self.jmax, RATIO_CACHE_CAP)
+        self.ratios = tuple((a + j) * (b + j) / ((c + j) * (j + 1)) for j in range(n))
+        self._pfaff: GaussSeries | None = None
+
+    def pfaff(self) -> "GaussSeries":
+        """The partner (a, c - b; c) of the Pfaff map (DLMF 15.8.1)."""
+        if self._pfaff is None:
+            self._pfaff = GaussSeries(self.a, self.c - self.b, self.c)
+        return self._pfaff
+
+    def __call__(self, x: complex) -> complex:
+        x = complex(x)
+        if self.jmax is not None:
+            s = term = 1.0 + 0.0j
+            for r in self.ratios:
+                term *= r * x
+                s += term
+            if self.jmax > RATIO_CACHE_CAP:
+                a, b, c = self.a, self.b, self.c
+                for j in range(RATIO_CACHE_CAP, self.jmax):
+                    term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
+                    s += term
             return s
-        term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
-        s += term
-        j += 1
-        if jmax is None:
+        if x.imag == 0.0 and x.real < 0.0:
+            z = x.real / (x.real - 1.0)
+            return (1.0 - x.real) ** (-self.a) * self.pfaff()(z)
+        if abs(x) < 1.0:
+            return self._series(x)
+        raise NonConvergent(
+            f"2F1 series with |x| = {abs(x):.3g} >= 1 does not terminate"
+        )
+
+    def _series(self, x: complex) -> complex:
+        s = term = 1.0 + 0.0j
+        prefix = self.ratios
+        for r in prefix:
+            term *= r * x
+            s += term
             if abs(term) < SERIES_RELTOL * abs(s):
                 return s
-            if j >= SERIES_TERM_CAP:
-                raise TermCapExceeded(
-                    f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
-                )
+        a, b, c = self.a, self.b, self.c
+        j = len(prefix)
+        grown = []
+        try:
+            while True:
+                if j >= SERIES_TERM_CAP:
+                    raise TermCapExceeded(
+                        f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
+                    )
+                r = (a + j) * (b + j) / ((c + j) * (j + 1))
+                if j < RATIO_CACHE_CAP:
+                    grown.append(r)
+                term *= r * x
+                s += term
+                j += 1
+                if abs(term) < SERIES_RELTOL * abs(s):
+                    return s
+        finally:
+            if grown:
+                self.ratios = prefix + tuple(grown)
 
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
@@ -90,22 +160,14 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     and keeps convergence geometric even as x -> -1; this is the only
     analytic continuation performed.  No 1 - x connection is applied, so
     as the (mapped) argument nears 1 the series needs ever more terms and
-    raises TermCapExceeded once it needs more than SERIES_TERM_CAP.  The
-    Lorentz kernel takes its two l = 1/2 factors that would hit this in
-    closed form (``hypersph.z_assoc``) and calls this only for the rest.
+    raises TermCapExceeded once it needs more than SERIES_TERM_CAP.
+
+    This compiles a ``GaussSeries`` and calls it once; the Lorentz kernel
+    (``hypersph.z_assoc``) keeps its compiled series in a per-index plan
+    instead, and takes its two l = 1/2 factors that would hit the x -> 1
+    limit in closed form.
     """
-    x = complex(x)
-    jmax = _check_pole(a, b, c)
-    if jmax is not None:
-        return _sum_series(a, b, c, x, jmax)
-    if x.imag == 0.0 and x.real < 0.0:
-        z = x.real / (x.real - 1.0)
-        return (1.0 - x.real) ** (-a) * hyp2f1(a, c - b, c, z)
-    if abs(x) < 1.0:
-        return _sum_series(a, b, c, x, None)
-    raise NonConvergent(
-        f"2F1 series with |x| = {abs(x):.3g} >= 1 does not terminate"
-    )
+    return GaussSeries(a, b, c)(x)
 
 
 def _seed_half(x: float) -> tuple[float, float]:

@@ -98,6 +98,15 @@ def test_hypersph_bad_domain_exit_2(capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_malformed_axis_spec_exit_2_naming_the_spec(capsys):
+    for spec in ("1:2", "0:1:x"):
+        code, out, err = run(capsys, "hypersph", "--l", "1/2", "--m", "1/2", f"--theta={spec}")
+        assert code == 2, spec
+        assert out == ""
+        assert err == (f"error: grid axis {spec!r} is neither 'value' nor 'lo:hi:n' "
+                       "with an integer n\n")
+
+
 def test_wavefunction_non_finite_axis_exit_2(capsys):
     for value in ("nan", "inf", "0:nan:3"):
         code, out, err = run(capsys, "wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5",

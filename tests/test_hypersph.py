@@ -9,12 +9,14 @@ from poincarewave.hypersph import (
     EulerAngles,
     HypersphIndex,
     index_is_evaluable,
+    kernel_plan,
     m_assoc,
     m_assoc_dotted,
     m_assoc_pair,
     sum_index_values,
     z_assoc,
 )
+from poincarewave.specfun import GaussSeries
 
 # frozen high-precision direct-summation values
 GOLDEN_HALF_HALF = 1.1729352093275558 + 0.4065083666624422j  # l=m=1/2, theta=pi/2, tau=1
@@ -159,22 +161,17 @@ def test_half_kernel_matches_oracle_into_the_tails(m):
             assert z_assoc(idx, theta, tau) == pytest.approx(want, rel=1e-12), (theta, tau)
 
 
-def test_half_kernel_sums_no_non_terminating_series(monkeypatch):
-    from poincarewave import hypersph, specfun
+def test_half_kernel_sums_no_non_terminating_series():
+    # z_assoc evaluates exactly the factors of the index's plan: a closed
+    # form (None), a compiled GaussSeries, or a Pole
+    def factors(idx):
+        plan = kernel_plan(idx)
+        return [f for term in plan.terms for f in (term.theta, term.tau)]
 
-    seen = []
-
-    def recording_hyp2f1(a, b, c, x):
-        seen.append((a, b, c, specfun._termination_index(a, b) is not None))
-        return specfun.hyp2f1(a, b, c, x)
-
-    monkeypatch.setattr(hypersph, "hyp2f1", recording_hyp2f1)
     for m in (1, -1):
-        for theta in TAIL_THETAS:
-            for tau in TAIL_TAUS:
-                z_assoc(HypersphIndex(half(1), half(m)), theta, tau)
-    assert seen and all(terminates for *_, terminates in seen)
+        fs = factors(HypersphIndex(half(1), half(m)))
+        assert fs and all(f is None or (isinstance(f, GaussSeries) and f.jmax is not None)
+                          for f in fs)
     # every other l keeps the series, the non-terminating ones included
-    seen.clear()
-    z_assoc(HypersphIndex(half(2), half(2)), 1.0, 1.0)
-    assert (1.0, 1.0, 3.0, False) in seen
+    assert any(isinstance(f, GaussSeries) and (f.a, f.b, f.c, f.jmax) == (1.0, 1.0, 3.0, None)
+               for f in factors(HypersphIndex(half(2), half(2))))
