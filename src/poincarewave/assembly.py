@@ -53,6 +53,8 @@ class SpinConfig:
             raise ValueError(f"r must be 1 or 2, got {self.r}")
         if not self.radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius}")
+        if not math.isfinite(self.radius):
+            raise ValueError(f"radius must be finite, got {self.radius}")
         if self.sign_pair not in ("+-", "-+"):
             raise ValueError(f"sign_pair must be '+-' or '-+', got {self.sign_pair!r}")
 

@@ -125,7 +125,11 @@ def cmd_spinor(args) -> int:
         p = dirac.FourMomentum.on_shell(args.px, args.py, args.pz, args.m)
     amp = (dirac._u_components if args.kind == "u" else dirac._v_components)(args.r, p)
     kind_sign = "+" if args.kind == "u" else "-"
-    residual = float(np.linalg.norm(dirac.dirac_residual(kind_sign, args.r, p, (0.0, 0.0, 0.0, 0.0))))
+    # an off-shell residual of finite amplitudes can still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(dirac.dirac_residual(kind_sign, args.r, p, (0.0, 0.0, 0.0, 0.0))))
+    if not math.isfinite(residual):
+        raise OverflowError(f"the Dirac residual norm at E = {p.E} is not finite")
     doc = {
         "command": "spinor",
         "inputs": {
@@ -330,8 +334,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # DomainError, OffShellError and SizeCapExceeded are ValueErrors;
-    # NonConvergent, TermCapExceeded and OverflowError are ArithmeticErrors
-    except (ValueError, ArithmeticError) as exc:
+    # NonConvergent, TermCapExceeded and OverflowError are ArithmeticErrors;
+    # an --out path that cannot be opened is an OSError
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,13 +104,24 @@ class DiracAmplitude:
     r: int
 
 
+def _scaled(n: float, entries: list[complex]) -> np.ndarray:
+    """n = sqrt((E + m)/2m) times ``entries``.  A product that is not
+    finite (a mass near zero, or E + m near zero off shell) raises
+    OverflowError, and numpy prints no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        amp = n * np.array(entries, dtype=complex)
+    if not np.isfinite(amp).all():
+        raise OverflowError(f"spinor amplitude is not finite (sqrt((E + m)/2m) = {n})")
+    return amp
+
+
 def _u_components(r: int, p: FourMomentum) -> np.ndarray:
     n = math.sqrt((p.E + p.m) / (2.0 * p.m))
     d = p.E + p.m
     if r == 1:
-        return n * np.array([1.0, 0.0, p.pz / d, p.p_plus / d], dtype=complex)
+        return _scaled(n, [1.0, 0.0, p.pz / d, p.p_plus / d])
     if r == 2:
-        return n * np.array([0.0, 1.0, p.p_minus / d, -p.pz / d], dtype=complex)
+        return _scaled(n, [0.0, 1.0, p.p_minus / d, -p.pz / d])
     raise ValueError(f"r must be 1 or 2, got {r}")
 
 
@@ -118,9 +129,9 @@ def _v_components(r: int, p: FourMomentum) -> np.ndarray:
     n = math.sqrt((p.E + p.m) / (2.0 * p.m))
     d = p.E + p.m
     if r == 1:
-        return n * np.array([p.pz / d, p.p_plus / d, 1.0, 0.0], dtype=complex)
+        return _scaled(n, [p.pz / d, p.p_plus / d, 1.0, 0.0])
     if r == 2:
-        return n * np.array([p.p_minus / d, -p.pz / d, 0.0, 1.0], dtype=complex)
+        return _scaled(n, [p.p_minus / d, -p.pz / d, 0.0, 1.0])
     raise ValueError(f"r must be 1 or 2, got {r}")
 
 

@@ -80,27 +80,6 @@ def _term_params(idx: HypersphIndex, k: HalfInt):
     return a1, b1, c1, a2, b1, c2
 
 
-class Pole:
-    """A factor whose Gauss series meets a pole of its c parameter before
-    it terminates.  Calling it raises a fresh PoleInDenominator: a stored
-    instance raised again would keep growing its traceback."""
-
-    __slots__ = ("message",)
-
-    def __init__(self, message: str):
-        self.message = message
-
-    def __call__(self, x: complex) -> complex:
-        raise PoleInDenominator(self.message)
-
-
-def _compile(a: float, b: float, c: float) -> GaussSeries | Pole:
-    try:
-        return GaussSeries(a, b, c)
-    except PoleInDenominator as exc:
-        return Pole(str(exc))
-
-
 class KernelTerm(NamedTuple):
     """The k-term i^n tan^n(theta/2) tanh^{-k}(tau/2) F_theta F_tau, n = m - k.
 
@@ -112,45 +91,35 @@ class KernelTerm(NamedTuple):
     unit: complex  # i^n
     n: int
     exponent: float  # -k
-    theta: GaussSeries | Pole | None
-    tau: GaussSeries | Pole | None
+    theta: GaussSeries | None
+    tau: GaussSeries | None
 
 
-@dataclass(frozen=True)
-class KernelPlan:
-    """What Z^l_m needs that depends on (l, m) alone.
+def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
+    """The compiled k-sum of Z^l_m, one term per k = -l ... l, built on
+    first use and kept for the last 64 indices used.
 
-    ``terms`` runs over k = -l ... l and stops at the first factor that is
-    a ``Pole``; ``pole`` is that factor's message, None when the index is
-    evaluable.
+    An index that is not evaluable raises PoleInDenominator here, with the
+    message of its first pole (k from -l up, the theta factor before the
+    tau factor), before any term is summed.  A build that raised is not
+    kept, so each call raises a fresh exception.
     """
-
-    terms: tuple[KernelTerm, ...]
-    pole: str | None
-
-
-def kernel_plan(idx: HypersphIndex) -> KernelPlan:
-    """The compiled k-sum of Z^l_m, built on first use and kept for the
-    last 64 indices used."""
     return _compiled_plan(idx.l.twice, idx.m.twice)
 
 
 # Keyed by (2l, 2m): hashing two ints costs a tenth of hashing the index.
 @functools.lru_cache(maxsize=64)
-def _compiled_plan(l_twice: int, m_twice: int) -> KernelPlan:
+def _compiled_plan(l_twice: int, m_twice: int) -> tuple[KernelTerm, ...]:
     idx = HypersphIndex(HalfInt(l_twice), HalfInt(m_twice))
     terms = []
     for k in sum_index_values(idx):
         n = (idx.m.twice - k.twice) // 2  # m - k, an integer
         a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
         # the two non-terminating triples of l = 1/2 (see z_assoc)
-        theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else _compile(a1, b1, c1)
-        tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else _compile(a2, b2, c2)
+        theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else GaussSeries(a1, b1, c1)
+        tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else GaussSeries(a2, b2, c2)
         terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
-        poles = [f.message for f in (theta, tau) if isinstance(f, Pole)]
-        if poles:
-            return KernelPlan(tuple(terms), poles[0])
-    return KernelPlan(tuple(terms), None)
+    return tuple(terms)
 
 
 def index_is_evaluable(idx: HypersphIndex) -> bool:
@@ -158,9 +127,13 @@ def index_is_evaluable(idx: HypersphIndex) -> bool:
 
     The printed formula is termwise singular for some index pairs (a
     non-positive c parameter whose pole falls inside the terminating sum);
-    those pairs raise PoleInDenominator on evaluation.
+    building the plan of such a pair raises PoleInDenominator.
     """
-    return kernel_plan(idx).pole is None
+    try:
+        kernel_plan(idx)
+    except PoleInDenominator:
+        return False
+    return True
 
 
 def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
@@ -175,7 +148,9 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     tanh^{-k} uses the principal real branch (its base is positive on the
     open domain).  The k-sum is accumulated in order k = -l ... l with
     compensated summation so grid sweeps are bitwise reproducible.
-    Everything that depends on (l, m) alone comes from ``kernel_plan``.
+    Everything that depends on (l, m) alone comes from ``kernel_plan``,
+    taken right after the domain check: an index that is not evaluable
+    raises PoleInDenominator there, before any factor is evaluated.
 
     At l = 1/2 both non-terminating factors are elementary and are taken
     in closed form, so that kernel holds up to theta -> pi and until its
@@ -202,7 +177,7 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
 
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan carry
-    for unit, n, exponent, theta_f, tau_f in plan.terms:
+    for unit, n, exponent, theta_f, tau_f in plan:
         term = (
             unit
             * t**n

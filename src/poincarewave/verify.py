@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import assembly, dirac, hypersph, radial, specfun
-from .errors import PoleInDenominator
+from .errors import DomainError, PoleInDenominator
 from .halfint import HalfInt, unit_range
 
 SUITES = ("gamma", "dirac", "bessel", "hyp2f1", "radial", "hypersph", "assembly", "all")
@@ -610,6 +610,10 @@ _SUITE_FUNCS = {
 
 
 def run_suite(name: str, tol: float | None = None) -> RunReport:
+    """Run one suite, or all of them.  ``tol``, when given, replaces every
+    check's tolerance; it must be finite and non-negative."""
+    if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
     if name == "all":
         t0 = time.perf_counter()
         reports = [fn(tol) for fn in _SUITE_FUNCS.values()]

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poincarewave import GRID_AXES, hypersph
@@ -79,9 +79,12 @@ def test_hypersph_grid_row_count_and_order(capsys):
 
 
 def test_hypersph_singular_pair_exit_2(capsys):
-    code, _, err = run(capsys, "hypersph", "--l", "3/2", "--m=-1/2")
-    assert code == 2
-    assert "pole" in err.lower() or "error" in err.lower()
+    pole = ("error: 2F1(-1.0, -1.0; 0.0; x): denominator pole at term 1 "
+            "reached before series termination\n")
+    # at tau = 50 the k = -3/2 tau series before the pole cannot converge
+    for argv in (("--l", "3/2", "--m=-1/2"), ("--l", "3/2", "--m=-1/2", "--tau", "50")):
+        code, out, err = run(capsys, "hypersph", *argv)
+        assert (code, out, err) == (2, "", pole), argv
 
 
 def test_hypersph_bad_domain_exit_2(capsys):
@@ -130,6 +133,7 @@ def test_non_finite_flags_exit_2(capsys):
         (*wf, "--c2", "1,inf"),
         ("spinor", "--kind", "u", "--r", "1", "--m", "1", "--px", "inf"),
         ("spinor", "--kind", "u", "--r", "1", "--m", "1", "--off-shell", "--E", "inf"),
+        (*wf, "--radius", "inf"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -306,6 +310,18 @@ def test_bad_threads_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("spinor", "--kind", "u", "--r", "1", "--m", "1"),
+    ("hypersph", "--l", "1/2", "--m", "1/2"),
+    ("verify", "--suite", "gamma"),
+])
+def test_unopenable_out_path_exit_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--suite", "gamma", "--out", str(path))
@@ -350,6 +366,9 @@ _WAVEFUNCTION = st.builds(
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(argv=st.one_of(_HYPERSPH, _WAVEFUNCTION))
+# the amplitude normalization overflows
+@example(argv=["wavefunction", "--m=1e-320", "--pz=1", "--l=1/2", "--kappa=0.5",
+               "--kappa-dot=0.5"])
 def test_grid_commands_exit_0_with_finite_json_or_2_with_nothing(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -359,3 +378,48 @@ def test_grid_commands_exit_0_with_finite_json_or_2_with_nothing(argv):
         assert out.getvalue() == "", argv
     else:
         _finite_json(out.getvalue())
+
+
+_MOMENTA = st.sampled_from(["0", "0.75", "1e200", "1e308"])
+_SPINOR = st.builds(
+    lambda kind, r, m, p, off: ["spinor", f"--kind={kind}", f"--r={r}", f"--m={m}",
+                                *(f"--{k}={v}" for k, v in p.items()), *off],
+    st.sampled_from(["u", "v"]),
+    st.sampled_from(["1", "2"]),
+    st.sampled_from(["1", "1e-320", "-1"]),
+    st.dictionaries(st.sampled_from(["px", "py", "pz"]), _MOMENTA, max_size=3),
+    st.one_of(st.just(()), st.sampled_from(["1", "1.25", "1e-320", "1e308"]).map(
+        lambda e: ("--off-shell", f"--E={e}"))),
+)
+_VERIFY = st.builds(
+    lambda tol: ["verify", "--suite=gamma", f"--tol={tol!r}"],
+    st.one_of(st.sampled_from([math.nan, math.inf, -1.0, 0.0, 1e-12]), st.floats()),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(argv=st.one_of(_SPINOR, _VERIFY))
+# the amplitude normalization overflows; off shell, an amplitude entry or
+# the residual overflows
+@example(argv=["spinor", "--kind=u", "--r=1", "--m=1e-320", "--pz=1"])
+@example(argv=["spinor", "--kind=v", "--r=2", "--m=1e-320", "--off-shell", "--E=1e-320",
+               "--py=1"])
+@example(argv=["spinor", "--kind=u", "--r=1", "--m=1", "--off-shell", "--E=1e308",
+               "--px=1e308"])
+# a tolerance that is not finite, or negative
+@example(argv=["verify", "--suite=gamma", "--tol=nan"])
+@example(argv=["verify", "--suite=gamma", "--tol=inf"])
+@example(argv=["verify", "--suite=gamma", "--tol=-1"])
+def test_spinor_and_verify_exit_0_or_1_with_finite_json_or_2_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv
+    else:
+        assert code in ((0, 1) if argv[0] == "verify" else (0,)), argv
+        assert err.getvalue() == "", argv
+        doc = _finite_json(out.getvalue())
+        if argv[0] == "verify":
+            assert doc["report"]["tolerance"] >= 0.0, argv
