@@ -72,17 +72,20 @@ def _axes(specs: list[str]) -> list[list[float]]:
     return out
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None, fields=()) -> None:
+def _output(path: str | None):
+    """``path`` opened for writing, or stdout when no --out is given."""
+    return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+
+
+def _emit(doc: dict, fmt: str, out_path: str | None, fields) -> None:
     """Write ``doc`` to ``out_path``, or to stdout, one row at a time.
 
-    ``doc["rows"]``, when present, is an iterable of tuples of numbers in
-    ``fields`` order.  JSON writes the whole document, CSV only its rows.
+    ``doc["rows"]`` is an iterable of tuples of numbers in ``fields``
+    order.  JSON writes the whole document, CSV only its rows.
     """
-    rows = doc.get("rows")
-    with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as fh:
-        if rows is None:
-            fh.write(json.dumps(doc, indent=2) + "\n")
-        elif fmt == "csv":
+    rows = doc["rows"]
+    with _output(out_path) as fh:
+        if fmt == "csv":
             fh.write(",".join(fields) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
@@ -123,7 +126,7 @@ def cmd_spinor(args) -> int:
         p = dirac.FourMomentum.off_shell(args.E, args.px, args.py, args.pz, args.m)
     else:
         p = dirac.FourMomentum.on_shell(args.px, args.py, args.pz, args.m)
-    amp = (dirac._u_components if args.kind == "u" else dirac._v_components)(args.r, p)
+    amp = dirac._components(args.kind, args.r, p)
     kind_sign = "+" if args.kind == "u" else "-"
     # an off-shell residual of finite amplitudes can still overflow
     with np.errstate(over="ignore", invalid="ignore"):
@@ -234,14 +237,14 @@ def _wavefunction_row(x, ang: hypersph.EulerAngles, psi) -> tuple:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    report = verify.run_suite(args.suite, tol=args.tol)
-    # elapsed is wall-clock noise; dropping it keeps repeated runs
-    # byte-identical, which downstream tooling relies on
-    rd = report.to_dict()
-    del rd["elapsed"]
-    doc = {"command": "verify", "inputs": {"suite": args.suite, "tol": args.tol},
-           "report": rd}
-    _emit(doc, "json", args.out)
+    # --tol is checked and --out opened before any suite runs, so either
+    # fails at once, and a bad --tol leaves no file
+    verify.check_tolerance(args.tol)
+    with _output(args.out) as fh:
+        report = verify.run_suite(args.suite, tol=args.tol)
+        doc = {"command": "verify", "inputs": {"suite": args.suite, "tol": args.tol},
+               "report": report.to_dict()}
+        fh.write(json.dumps(doc, indent=2) + "\n")
     return 0 if report.passed else 1
 
 

@@ -43,6 +43,18 @@ def _require_finite(*components: float) -> None:
         raise OffShellError(f"four-momentum components must be finite, got {components}")
 
 
+def _shell_energy(px: float, py: float, pz: float, m: float) -> float:
+    """sqrt(m² + |p|²).  A square past the double range raises OffShellError
+    naming the components.  The squares stay ``**``: ``x*x`` differs from
+    ``x**2`` in the last bit for some doubles, which would move E."""
+    try:
+        return math.sqrt(m**2 + px**2 + py**2 + pz**2)
+    except OverflowError:
+        raise OffShellError(
+            f"the shell energy of (px, py, pz, m) = {(px, py, pz, m)} overflows a double"
+        ) from None
+
+
 @dataclass(frozen=True)
 class FourMomentum:
     """On-shell four-momentum; use ``off_shell`` for deliberate violations."""
@@ -65,7 +77,7 @@ class FourMomentum:
 
     @property
     def shell_energy(self) -> float:
-        return math.sqrt(self.m**2 + self.px**2 + self.py**2 + self.pz**2)
+        return _shell_energy(self.px, self.py, self.pz, self.m)
 
     @property
     def p_plus(self) -> complex:
@@ -77,7 +89,7 @@ class FourMomentum:
 
     @classmethod
     def on_shell(cls, px: float, py: float, pz: float, m: float) -> "FourMomentum":
-        return cls(math.sqrt(m**2 + px**2 + py**2 + pz**2), px, py, pz, m)
+        return cls(_shell_energy(px, py, pz, m), px, py, pz, m)
 
     @classmethod
     def off_shell(cls, E: float, px: float, py: float, pz: float, m: float) -> "FourMomentum":
@@ -115,24 +127,18 @@ def _scaled(n: float, entries: list[complex]) -> np.ndarray:
     return amp
 
 
-def _u_components(r: int, p: FourMomentum) -> np.ndarray:
+def _components(kind: Literal["u", "v"], r: int, p: FourMomentum) -> np.ndarray:
+    """The entries of u_r(p), or of v_r(p), which is u_r(p) with its two
+    spinor halves swapped."""
     n = math.sqrt((p.E + p.m) / (2.0 * p.m))
     d = p.E + p.m
     if r == 1:
-        return _scaled(n, [1.0, 0.0, p.pz / d, p.p_plus / d])
-    if r == 2:
-        return _scaled(n, [0.0, 1.0, p.p_minus / d, -p.pz / d])
-    raise ValueError(f"r must be 1 or 2, got {r}")
-
-
-def _v_components(r: int, p: FourMomentum) -> np.ndarray:
-    n = math.sqrt((p.E + p.m) / (2.0 * p.m))
-    d = p.E + p.m
-    if r == 1:
-        return _scaled(n, [p.pz / d, p.p_plus / d, 1.0, 0.0])
-    if r == 2:
-        return _scaled(n, [p.p_minus / d, -p.pz / d, 0.0, 1.0])
-    raise ValueError(f"r must be 1 or 2, got {r}")
+        upper, lower = [1.0, 0.0], [p.pz / d, p.p_plus / d]
+    elif r == 2:
+        upper, lower = [0.0, 1.0], [p.p_minus / d, -p.pz / d]
+    else:
+        raise ValueError(f"r must be 1 or 2, got {r}")
+    return _scaled(n, upper + lower if kind == "u" else lower + upper)
 
 
 def _require_on_shell(p: FourMomentum) -> None:
@@ -143,13 +149,13 @@ def _require_on_shell(p: FourMomentum) -> None:
 def u_amplitude(r: int, p: FourMomentum) -> DiracAmplitude:
     """Positive-energy amplitude u_r(p), r in {1, 2}."""
     _require_on_shell(p)
-    return DiracAmplitude(_u_components(r, p), "u", r)
+    return DiracAmplitude(_components("u", r, p), "u", r)
 
 
 def v_amplitude(r: int, p: FourMomentum) -> DiracAmplitude:
     """Negative-energy amplitude v_r(p), r in {1, 2}."""
     _require_on_shell(p)
-    return DiracAmplitude(_v_components(r, p), "v", r)
+    return DiracAmplitude(_components("v", r, p), "v", r)
 
 
 def adjoint(psi: np.ndarray) -> np.ndarray:
@@ -177,10 +183,10 @@ def dirac_residual(
     """
     slash = momentum_slash(p)
     if kind == "+":
-        amp = _u_components(r, p)
+        amp = _components("u", r, p)
         return (slash - p.m * np.eye(4)) @ amp * plane_wave(x, p, "+")
     if kind == "-":
-        amp = _v_components(r, p)
+        amp = _components("v", r, p)
         return (-slash - p.m * np.eye(4)) @ amp * plane_wave(x, p, "-")
     raise ValueError(f"kind must be '+' or '-', got {kind!r}")
 
@@ -190,7 +196,7 @@ def dirac_residual_fd(
 ) -> np.ndarray:
     """Same residual with central finite differences of step 1e-4 replacing d_nu."""
     h = 1e-4
-    amp = _u_components(r, p) if kind == "+" else _v_components(r, p)
+    amp = _components("u" if kind == "+" else "v", r, p)
     sign = "+" if kind == "+" else "-"
 
     def psi(pt):

@@ -1,10 +1,12 @@
 """Property-check suites with machine-readable reports.
 
 Each suite replays the residual and oracle checks for one part of the
-library and reports the worst residual against its tolerance.  Double
-precision lives in the library kernels; the oracles here run in mpmath
-at >= 25 significant digits, imported by the oracles themselves so that
-importing the package or its CLI does not load mpmath.
+library and returns them as ``(checks, headline_tol, details)``;
+``run_suite`` alone turns them into a ``RunReport`` of the worst residual
+against its tolerance.  Double precision lives in the library kernels;
+the oracles here run in mpmath at >= 25 significant digits, imported by
+the oracles themselves so that importing the package or its CLI does not
+load mpmath.
 
 When a suite mixes checks with different tolerances, the reported
 ``max_residual`` is the worst residual rescaled to the suite's headline
@@ -15,9 +17,9 @@ that ``passed == (max_residual <= tolerance)`` holds exactly.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,64 +27,66 @@ from . import assembly, dirac, hypersph, radial, specfun
 from .errors import DomainError, PoleInDenominator
 from .halfint import HalfInt, unit_range
 
-SUITES = ("gamma", "dirac", "bessel", "hyp2f1", "radial", "hypersph", "assembly", "all")
-
 _SEED = 20260824
 
 
 @dataclass
 class RunReport:
+    """The outcome of one suite, or of ``"all"``, as ``run_suite`` builds it.
+
+    ``max_residual`` is the worst residual rescaled to ``tolerance`` (for
+    ``"all"``, the worst residual/tolerance ratio over the suites, against
+    a tolerance of 1), so ``passed == (max_residual <= tolerance)``.
+    ``details`` names the worst check and holds what the suite adds; for
+    ``"all"`` it holds each suite's ``max_residual``, ``tolerance`` and
+    ``passed``.  A report carries no wall-clock time, so repeated runs
+    give equal reports.
+    """
+
     suite: str
     cases: int
     max_residual: float
     tolerance: float
     passed: bool
-    elapsed: float
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "max_residual": self.max_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "elapsed": self.elapsed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
-def _assemble(suite, checks, primary_tol, tol_override, t0, details=None):
-    """checks: list of (name, residual, tolerance)."""
+def _worst_ratio(pairs) -> float:
+    """Max of residual/tolerance over (residual, tolerance) pairs, folded
+    from 0.0; a positive residual against a zero tolerance counts as inf."""
+    return functools.reduce(
+        max, (math.inf if t == 0.0 and r > 0.0 else (r / t if t else 0.0) for r, t in pairs), 0.0
+    )
+
+
+def _assemble(suite, checks, primary_tol, details, tol_override):
+    """A suite's report from its checks, a list of (name, residual,
+    tolerance); ``tol_override``, when given, replaces every tolerance."""
     checks = [(n, float(r), float(t)) for n, r, t in checks]
     if tol_override is not None:
         checks = [(n, r, tol_override) for n, r, _ in checks]
         primary_tol = tol_override
-    passed = all(r <= t for _, r, t in checks)
     if primary_tol == 0.0:
         worst = max((r for _, r, _ in checks), default=0.0)
     else:
-        ratio = 0.0
-        for _, r, t in checks:
-            ratio = max(ratio, math.inf if t == 0.0 and r > 0.0 else (r / t if t else 0.0))
-        worst = primary_tol * ratio
-    det = dict(details or {})
-    det["worst_check"] = max(checks, key=lambda c: (c[1] / c[2] if c[2] else c[1]))[0] if checks else None
+        worst = primary_tol * _worst_ratio((r, t) for _, r, t in checks)
+    worst_check = max(checks, key=lambda c: (c[1] / c[2] if c[2] else c[1]))[0] if checks else None
     return RunReport(
         suite=suite,
         cases=len(checks),
         max_residual=worst,
         tolerance=primary_tol,
-        passed=passed,
-        elapsed=time.perf_counter() - t0,
-        details=det,
+        passed=all(r <= t for _, r, t in checks),
+        details={**details, "worst_check": worst_check},
     )
 
 
 # ---------------------------------------------------------------- gamma
 
-def verify_gamma(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_gamma():
     gs = dirac.GAMMA
     checks = []
     for mu in range(4):
@@ -91,7 +95,7 @@ def verify_gamma(tol: float | None = None) -> RunReport:
             target = 2.0 * dirac.METRIC[mu, nu] * np.eye(4)
             res = float(np.max(np.abs(anti - target)))
             checks.append((f"anticommutator[{mu},{nu}]", res, 0.0))
-    return _assemble("gamma", checks, 0.0, tol, t0)
+    return checks, 0.0, {}
 
 
 # ---------------------------------------------------------------- dirac
@@ -108,8 +112,7 @@ def _random_momenta(rng, n):
     return out
 
 
-def verify_dirac(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_dirac():
     rng = np.random.default_rng(_SEED)
     checks = []
 
@@ -157,7 +160,7 @@ def verify_dirac(tol: float | None = None) -> RunReport:
     norm = float(np.linalg.norm(dirac.dirac_residual("+", 1, off, (0.0, 0.0, 0.0, 0.0))))
     checks.append(("offshell_negative_control", 0.0 if norm > 1e-2 else math.inf, 1e-10))
 
-    return _assemble("dirac", checks, 1e-10, tol, t0)
+    return checks, 1e-10, {}
 
 
 # ---------------------------------------------------------------- bessel
@@ -173,8 +176,7 @@ def _closed_form_j(tw: int, x: float) -> float:
     return forms[tw]
 
 
-def verify_bessel(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_bessel():
     checks = []
     xs = np.geomspace(0.1, 50.0, 40)
 
@@ -205,7 +207,7 @@ def verify_bessel(tol: float | None = None) -> RunReport:
             worst = max(worst, abs(res) / max(scale, 1e-300))
     checks.append(("bessel_ode_residual", worst, 1e-8))
 
-    return _assemble("bessel", checks, 1e-8, tol, t0)
+    return checks, 1e-8, {}
 
 
 # ---------------------------------------------------------------- hyp2f1
@@ -230,8 +232,7 @@ def mp_hyp2f1_series(a, b, c, x, jmax=None, dps=50):
                 raise RuntimeError("oracle series did not converge")
 
 
-def verify_hyp2f1(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_hyp2f1():
     rng = np.random.default_rng(_SEED)
     checks = []
 
@@ -264,7 +265,7 @@ def verify_hyp2f1(tol: float | None = None) -> RunReport:
         worst = max(worst, abs(lhs) / max(scale, 1e-300))
     checks.append(("gauss_contiguity", worst, 1e-10))
 
-    return _assemble("hyp2f1", checks, 1e-12, tol, t0)
+    return checks, 1e-12, {}
 
 
 # ---------------------------------------------------------------- hypersph
@@ -332,8 +333,7 @@ def hypersph_index_sweep():
     return out
 
 
-def verify_hypersph(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_hypersph():
     checks = []
     thetas = np.linspace(0.1, math.pi - 0.1, 20)
     taus = np.linspace(0.1, 5.0, 20)
@@ -396,14 +396,7 @@ def verify_hypersph(tol: float | None = None) -> RunReport:
             worst = math.inf
     checks.append(("continuity_probe", worst, 1e-9))
 
-    return _assemble(
-        "hypersph",
-        checks,
-        1e-9,
-        tol,
-        t0,
-        details={"evaluable_pairs": n_eval, "singular_pairs": n_sing},
-    )
+    return checks, 1e-9, {"evaluable_pairs": n_eval, "singular_pairs": n_sing}
 
 
 # ---------------------------------------------------------------- radial
@@ -443,8 +436,7 @@ def resolve_scale(kappa: complex, kappa_dot: complex) -> float:
     return best_a
 
 
-def verify_radial(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_radial():
     rng = np.random.default_rng(_SEED)
     checks = []
 
@@ -523,7 +515,7 @@ def verify_radial(tol: float | None = None) -> RunReport:
                 worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
     checks.append(("bessel_recurrence_structure", worst, 1e-10))
 
-    return _assemble("radial", checks, 1e-8, tol, t0, details={"resolve_scale": scale_detail})
+    return checks, 1e-8, {"resolve_scale": scale_detail}
 
 
 # ---------------------------------------------------------------- assembly
@@ -562,8 +554,7 @@ def _random_point(rng):
     return assembly.GroupPoint(tuple(rng.uniform(-2.0, 2.0, size=4)), ang)
 
 
-def verify_assembly(tol: float | None = None) -> RunReport:
-    t0 = time.perf_counter()
+def verify_assembly():
     rng = np.random.default_rng(_SEED)
     checks = []
 
@@ -593,7 +584,7 @@ def verify_assembly(tol: float | None = None) -> RunReport:
     checks.append(("sign_pair_flip", worst_sign, 1e-14))
     checks.append(("translation_pure_phase", worst_xinv, 1e-13))
 
-    return _assemble("assembly", checks, 1e-14, tol, t0)
+    return checks, 1e-14, {}
 
 
 # ---------------------------------------------------------------- driver
@@ -609,27 +600,34 @@ _SUITE_FUNCS = {
 }
 
 
-def run_suite(name: str, tol: float | None = None) -> RunReport:
-    """Run one suite, or all of them.  ``tol``, when given, replaces every
-    check's tolerance; it must be finite and non-negative."""
+SUITES = (*_SUITE_FUNCS, "all")
+
+
+def check_tolerance(tol: float | None) -> None:
+    """Refuse a ``tol`` that is given but not finite and non-negative."""
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
+
+
+def run_suite(name: str, tol: float | None = None) -> RunReport:
+    """Run one suite, or all of them, and report.
+
+    Each suite returns ``(checks, headline_tol, details)`` and this driver
+    alone turns them into a ``RunReport``: ``tol``, when given, replaces
+    every check's tolerance and the headline; it must be finite and
+    non-negative.  ``"all"`` calls every ``_SUITE_FUNCS`` entry once, in
+    order, and reports the worst residual/tolerance ratio over the suites
+    against a tolerance of 1.
+    """
+    check_tolerance(tol)
     if name == "all":
-        t0 = time.perf_counter()
-        reports = [fn(tol) for fn in _SUITE_FUNCS.values()]
-        ratio = 0.0
-        for r in reports:
-            if r.tolerance == 0.0:
-                ratio = max(ratio, math.inf if r.max_residual > 0 else 0.0)
-            else:
-                ratio = max(ratio, r.max_residual / r.tolerance)
+        reports = [_assemble(suite, *fn(), tol) for suite, fn in _SUITE_FUNCS.items()]
         return RunReport(
             suite="all",
             cases=sum(r.cases for r in reports),
-            max_residual=ratio,
+            max_residual=_worst_ratio((r.max_residual, r.tolerance) for r in reports),
             tolerance=1.0,
             passed=all(r.passed for r in reports),
-            elapsed=time.perf_counter() - t0,
             details={
                 r.suite: {
                     "max_residual": float(r.max_residual),
@@ -641,4 +639,4 @@ def run_suite(name: str, tol: float | None = None) -> RunReport:
         )
     if name not in _SUITE_FUNCS:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
-    return _SUITE_FUNCS[name](tol)
+    return _assemble(name, *_SUITE_FUNCS[name](), tol)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, hypersph
+from poincarewave import GRID_AXES, hypersph, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -282,7 +282,8 @@ def test_verify_pass_exit_0(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["passed"] is True
-    assert "elapsed" not in doc["report"]
+    assert list(doc["report"]) == ["suite", "cases", "max_residual", "tolerance", "passed",
+                                   "details"]
 
 
 def test_verify_tight_tolerance_exit_1(capsys):
@@ -313,13 +314,39 @@ def test_bad_threads_exit_2(capsys):
 @pytest.mark.parametrize("argv", [
     ("spinor", "--kind", "u", "--r", "1", "--m", "1"),
     ("hypersph", "--l", "1/2", "--m", "1/2"),
-    ("verify", "--suite", "gamma"),
+    ("verify", "--suite", "all"),
 ])
-def test_unopenable_out_path_exit_2(tmp_path, capsys, argv):
+def test_unopenable_out_path_exit_2(tmp_path, capsys, monkeypatch, argv):
+    # verify opens --out before any suite runs
+    def suite_must_not_run(*_):
+        pytest.fail("a verify suite ran before --out was opened")
+
+    for name in verify._SUITE_FUNCS:
+        monkeypatch.setitem(verify._SUITE_FUNCS, name, suite_must_not_run)
     path = tmp_path / "missing" / "x.json"
     code, out, err = run(capsys, *argv, "--out", str(path))
     assert (code, out) == (2, "")
     assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
+
+
+def test_bad_tol_leaves_no_out_file(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "verify", "--suite", "gamma", "--tol", "nan", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: tolerance must be finite and non-negative, got nan\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("spinor", "--kind", "u", "--r", "1", "--m", "1", "--pz", "1e200"),
+    ("wavefunction", "--m", "1", "--pz", "1e200", "--l", "1/2", "--kappa", "0.5",
+     "--kappa-dot", "0.5"),
+])
+def test_overflowing_momentum_is_named_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "1e+200" in err
 
 
 def test_out_file(tmp_path, capsys):
