@@ -17,17 +17,7 @@ from .assembly import (
     lorentz_factor,
     translation_factor,
 )
-from .dirac import (
-    DiracAmplitude,
-    FourMomentum,
-    adjoint,
-    dirac_residual,
-    dirac_residual_fd,
-    momentum_slash,
-    plane_wave,
-    u_amplitude,
-    v_amplitude,
-)
+from .dirac import DiracAmplitude, FourMomentum, plane_wave, u_amplitude, v_amplitude
 from .errors import (
     DomainError,
     IntegerOrderUnsupported,
@@ -66,9 +56,11 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    # The verification suites are imported on first use: library use of
-    # the evaluator needs neither them nor their mpmath oracles.
-    if name in ("RunReport", "run_suite"):
+    # The verification suites, and the gamma-matrix algebra they check the
+    # amplitudes with, are imported on first use: library use of the
+    # evaluator needs neither them, nor numpy, nor their mpmath oracles.
+    if name in ("RunReport", "run_suite", "adjoint", "dirac_residual", "dirac_residual_fd",
+                "momentum_slash"):
         from . import verify
 
         return getattr(verify, name)

@@ -74,9 +74,8 @@ def _translation_part(cfg: SpinConfig) -> Callable[[Sequence[float]], Factor]:
     """The translation factor as a function of x.  The amplitude entries
     depend only on the config and are taken once."""
     p = cfg.p
-    u = u_amplitude(cfg.r, p).components
-    v = v_amplitude(cfg.r, p).components
-    u1, u2, v3, v4 = complex(u[0]), complex(u[1]), complex(v[2]), complex(v[3])
+    u1, u2, _, _ = u_amplitude(cfg.r, p).components
+    _, _, v3, v4 = v_amplitude(cfg.r, p).components
 
     def at(x: Sequence[float]) -> Factor:
         pw_u = dirac.plane_wave(x, p, "+")

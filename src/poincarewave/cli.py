@@ -7,6 +7,10 @@ over grids) and ``verify`` (property suites with JSON reports).
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 JSON serializes every complex value as {"re": ..., "im": ...}; CSV uses
 17-significant-digit decimals so emitted values round-trip exactly.
+
+The CLI runs on the standard library.  ``verify``, the one module that
+imports numpy, is loaded only by the ``verify`` command and by ``spinor``
+for its residual norm.
 """
 
 from __future__ import annotations
@@ -18,9 +22,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import assembly, dirac, hypersph, radial, verify
+from . import assembly, dirac, hypersph, radial
 from .errors import DomainError, SizeCapExceeded
 from .halfint import HalfInt
 
@@ -37,7 +39,8 @@ def _axes(specs: list[str]) -> list[list[float]]:
     """Parse each 'value' or 'lo:hi:n' spec into a list of finite floats.
 
     The grid the axes span is checked against ``assembly.GRID_SIZE_CAP``
-    before any axis is built.
+    before any axis is built.  An axis that overflows, such as a span past
+    the double range, has a value that is not finite and is refused.
     """
     parsed = []
     total = 1
@@ -61,15 +64,21 @@ def _axes(specs: list[str]) -> list[list[float]]:
         raise SizeCapExceeded(f"grid of {total} points exceeds cap {assembly.GRID_SIZE_CAP}")
     out = []
     for spec, lo, hi, n in parsed:
-        # np.linspace prints RuntimeWarnings for a span that is not finite,
-        # so such a span is refused before it runs
-        if n is not None and not math.isfinite(hi - lo):
-            raise DomainError(f"grid axis {spec!r} has a non-finite value")
-        values = [lo] if n is None else [float(v) for v in np.linspace(lo, hi, n)]
+        values = [lo] if n is None else _linspace(lo, hi, n)
         if not all(math.isfinite(v) for v in values):
             raise DomainError(f"grid axis {spec!r} has a non-finite value")
         out.append(values)
     return out
+
+
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``np.linspace(lo, hi, n)`` in numpy's own arithmetic, so bitwise its
+    values: i*step + lo with step = span/(n-1), or (i/(n-1))*span + lo when
+    the step underflows to 0, then hi; a single point is 0*span + lo."""
+    span = hi - lo
+    step = span / (n - 1) if n > 1 else 0.0
+    head = [i * step + lo if step != 0 else (i / (n - 1)) * span + lo for i in range(n - 1)]
+    return head + [hi if n > 1 else 0.0 * span + lo]
 
 
 def _output(path: str | None):
@@ -120,6 +129,8 @@ def _complex_flag(s: str) -> complex:
 # ---------------------------------------------------------------- spinor
 
 def cmd_spinor(args) -> int:
+    from . import verify
+
     if args.off_shell:
         if args.E is None:
             raise DomainError("--off-shell requires an explicit --E")
@@ -127,12 +138,6 @@ def cmd_spinor(args) -> int:
     else:
         p = dirac.FourMomentum.on_shell(args.px, args.py, args.pz, args.m)
     amp = dirac._components(args.kind, args.r, p)
-    kind_sign = "+" if args.kind == "u" else "-"
-    # an off-shell residual of finite amplitudes can still overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = float(np.linalg.norm(dirac.dirac_residual(kind_sign, args.r, p, (0.0, 0.0, 0.0, 0.0))))
-    if not math.isfinite(residual):
-        raise OverflowError(f"the Dirac residual norm at E = {p.E} is not finite")
     doc = {
         "command": "spinor",
         "inputs": {
@@ -144,8 +149,8 @@ def cmd_spinor(args) -> int:
             "pz": p.pz,
             "m": p.m,
         },
-        "rows": [(i + 1, float(amp[i].real), float(amp[i].imag)) for i in range(4)],
-        "residual_norm": residual,
+        "rows": [(i, v.real, v.imag) for i, v in enumerate(amp, 1)],
+        "residual_norm": verify.spinor_residual_norm(args.kind, args.r, p),
     }
     _emit(doc, args.format, args.out, fields=("component", "re", "im"))
     return 0
@@ -237,9 +242,11 @@ def _wavefunction_row(x, ang: hypersph.EulerAngles, psi) -> tuple:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    # --tol is checked and --out opened before any suite runs, so either
-    # fails at once, and a bad --tol leaves no file
-    verify.check_tolerance(args.tol)
+    from . import verify
+
+    # --suite and --tol are checked and --out opened before any suite
+    # runs, so each fails at once, and a bad --suite or --tol leaves no file
+    verify.check_arguments(args.suite, args.tol)
     with _output(args.out) as fh:
         report = verify.run_suite(args.suite, tol=args.tol)
         doc = {"command": "verify", "inputs": {"suite": args.suite, "tol": args.tol},
@@ -302,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     wf.set_defaults(func=cmd_wavefunction)
 
     vf = sub.add_parser("verify", help="run a verification suite")
-    vf.add_argument("--suite", choices=list(verify.SUITES), required=True)
+    vf.add_argument("--suite", required=True, help="a suite name, or 'all'")
     vf.add_argument("--tol", type=float, default=None)
     vf.add_argument("--threads", type=int, default=1)
     vf.add_argument("--out", default=None)

@@ -7,6 +7,7 @@ they are stored as twice their value in a plain int.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,21 +23,22 @@ class HalfInt:
 
     @classmethod
     def from_value(cls, value) -> "HalfInt":
-        """Build from an int, float or string like '3/2'."""
+        """Build from an int, float or string like '3/2'.  Anything that is
+        not a finite half-integer raises ValueError('not a half-integer')."""
         if isinstance(value, HalfInt):
             return value
         if isinstance(value, str):
-            if "/" in value:
-                num, den = value.split("/")
-                num, den = int(num), int(den)
-                if den == 1:
-                    return cls(2 * num)
-                if den == 2:
-                    return cls(num)
-                raise ValueError(f"not a half-integer: {value!r}")
-            value = float(value)
+            try:
+                if "/" in value:
+                    num, den = map(int, value.split("/"))
+                    if den in (1, 2):
+                        return cls(num * 2 // den)
+                    raise ValueError
+                value = float(value)
+            except ValueError:
+                raise ValueError(f"not a half-integer: {value!r}") from None
         twice = 2 * value
-        if twice != round(twice):
+        if not math.isfinite(twice) or twice != round(twice):
             raise ValueError(f"not a half-integer: {value!r}")
         return cls(int(round(twice)))
 

@@ -163,14 +163,17 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     (and at l = 0); near their endpoints they slow and then raise
     TermCapExceeded (the theta factor of m = l as theta -> pi) or
     NonConvergent (the tau factor of l >= 3/2 once tanh^2(tau/2) rounds to
-    1).  A result that is not finite raises OverflowError.
+    1).  A prefactor or result that is not finite raises OverflowError.
     """
     _check_open_domain(theta, tau)
     plan = kernel_plan(idx)
-    l, m = idx.l, idx.m
+    l = idx.l
     t = math.tan(0.5 * theta)
     h = math.tanh(0.5 * tau)
-    prefactor = math.cos(0.5 * theta) ** l.twice * math.cosh(0.5 * tau) ** l.twice
+    try:
+        prefactor = math.cos(0.5 * theta) ** l.twice * math.cosh(0.5 * tau) ** l.twice
+    except OverflowError:  # cosh(tau/2), or its power, past the double range
+        raise _overflow(idx, theta, tau) from None
     t2 = t * t
     x = complex(-t2)  # the series arguments, converted once, not per factor
     y = complex(h * h)
@@ -191,8 +194,12 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
         total = tv
     z = prefactor * total
     if not cmath.isfinite(z):
-        raise OverflowError(f"Z^{l}_{m}(theta={theta}, tau={tau}) overflows")
+        raise _overflow(idx, theta, tau)
     return z
+
+
+def _overflow(idx: HypersphIndex, theta: float, tau: float) -> OverflowError:
+    return OverflowError(f"Z^{idx.l}_{idx.m}(theta={theta}, tau={tau}) overflows")
 
 
 def phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:

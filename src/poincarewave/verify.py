@@ -8,6 +8,13 @@ the oracles here run in mpmath at >= 25 significant digits, imported by
 the oracles themselves so that importing the package or its CLI does not
 load mpmath.
 
+This is the only module that imports numpy.  Besides the suites' sampling
+it holds the gamma-matrix algebra the ``gamma`` and ``dirac`` suites
+check the amplitudes against (``GAMMA``, ``momentum_slash``,
+``dirac_residual`` and its finite-difference twin), and the residual norm
+the CLI's ``spinor`` command reports.  The evaluator itself runs on the
+standard library.
+
 When a suite mixes checks with different tolerances, the reported
 ``max_residual`` is the worst residual rescaled to the suite's headline
 tolerance (max over checks of residual/tolerance, times the headline), so
@@ -18,8 +25,10 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -84,15 +93,100 @@ def _assemble(suite, checks, primary_tol, details, tol_override):
     )
 
 
+# ---------------------------------------------------------------- gamma algebra
+# The gamma matrices are used verbatim as displayed (gamma0 = diag(sigma0,
+# -sigma0), gamma_i off-diagonal with +/-sigma_i), the unique convention
+# under which the printed amplitudes annihilate the printed operator.
+
+SIGMA = (
+    np.array([[1, 0], [0, 1]], dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+_ZERO2 = np.zeros((2, 2), dtype=complex)
+
+GAMMA0 = np.block([[SIGMA[0], _ZERO2], [_ZERO2, -SIGMA[0]]])
+GAMMA1 = np.block([[_ZERO2, SIGMA[1]], [-SIGMA[1], _ZERO2]])
+GAMMA2 = np.block([[_ZERO2, SIGMA[2]], [-SIGMA[2], _ZERO2]])
+GAMMA3 = np.block([[_ZERO2, SIGMA[3]], [-SIGMA[3], _ZERO2]])
+GAMMA = (GAMMA0, GAMMA1, GAMMA2, GAMMA3)
+
+METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def momentum_slash(p: dirac.FourMomentum) -> np.ndarray:
+    """gamma^nu p_nu = E gamma0 - px gamma1 - py gamma2 - pz gamma3."""
+    return p.E * GAMMA0 - p.px * GAMMA1 - p.py * GAMMA2 - p.pz * GAMMA3
+
+
+def adjoint(psi: Sequence[complex]) -> np.ndarray:
+    """psi-bar = psi^dagger gamma0."""
+    return np.conj(psi) @ GAMMA0
+
+
+def dirac_residual(
+    kind: Literal["+", "-"], r: int, p: dirac.FourMomentum, x: Sequence[float]
+) -> np.ndarray:
+    """[i gamma^nu d_nu - m] psi, with the derivative taken analytically.
+
+    psi+ = u_r e^{-ipx} and psi- = v_r e^{ipx}; off-shell momenta are
+    admitted deliberately so the residual can act as a negative control.
+    """
+    slash = momentum_slash(p)
+    if kind == "+":
+        amp = dirac._components("u", r, p)
+        return (slash - p.m * np.eye(4)) @ amp * dirac.plane_wave(x, p, "+")
+    if kind == "-":
+        amp = dirac._components("v", r, p)
+        return (-slash - p.m * np.eye(4)) @ amp * dirac.plane_wave(x, p, "-")
+    raise ValueError(f"kind must be '+' or '-', got {kind!r}")
+
+
+def dirac_residual_fd(
+    kind: Literal["+", "-"], r: int, p: dirac.FourMomentum, x: Sequence[float]
+) -> np.ndarray:
+    """Same residual with central finite differences of step 1e-4 replacing d_nu."""
+    h = 1e-4
+    amp = np.array(dirac._components("u" if kind == "+" else "v", r, p))
+    sign = "+" if kind == "+" else "-"
+
+    def psi(pt):
+        return amp * dirac.plane_wave(pt, p, sign)
+
+    coords = (3, 0, 1, 2)  # gamma0 pairs with the time slot x4
+    res = -p.m * psi(x)
+    x = list(x)
+    for g, c in zip(GAMMA, coords):
+        xp = list(x)
+        xm = list(x)
+        xp[c] += h
+        xm[c] -= h
+        res = res + 1j * (g @ ((psi(xp) - psi(xm)) / (2.0 * h)))
+    return res
+
+
+def spinor_residual_norm(kind: Literal["u", "v"], r: int, p: dirac.FourMomentum) -> float:
+    """The norm of ``dirac_residual`` at x = 0 for u_r(p) or v_r(p), as the
+    ``spinor`` command reports it; OverflowError when it is not finite."""
+    sign = "+" if kind == "u" else "-"
+    # an off-shell residual of finite amplitudes can still overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = float(np.linalg.norm(dirac_residual(sign, r, p, (0.0, 0.0, 0.0, 0.0))))
+    if not math.isfinite(residual):
+        raise OverflowError(f"the Dirac residual norm at E = {p.E} is not finite")
+    return residual
+
+
 # ---------------------------------------------------------------- gamma
 
 def verify_gamma():
-    gs = dirac.GAMMA
     checks = []
     for mu in range(4):
         for nu in range(4):
-            anti = gs[mu] @ gs[nu] + gs[nu] @ gs[mu]
-            target = 2.0 * dirac.METRIC[mu, nu] * np.eye(4)
+            anti = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
+            target = 2.0 * METRIC[mu, nu] * np.eye(4)
             res = float(np.max(np.abs(anti - target)))
             checks.append((f"anticommutator[{mu},{nu}]", res, 0.0))
     return checks, 0.0, {}
@@ -118,7 +212,7 @@ def verify_dirac():
 
     worst_u = worst_v = 0.0
     for p in _random_momenta(rng, 1000):
-        slash = dirac.momentum_slash(p)
+        slash = momentum_slash(p)
         for r in (1, 2):
             u = dirac.u_amplitude(r, p).components
             v = dirac.v_amplitude(r, p).components
@@ -131,8 +225,8 @@ def verify_dirac():
     for p in _random_momenta(rng, 50):
         for r in (1, 2):
             for s in (1, 2):
-                uu = dirac.adjoint(dirac.u_amplitude(r, p).components) @ dirac.u_amplitude(s, p).components
-                vv = dirac.adjoint(dirac.v_amplitude(r, p).components) @ dirac.v_amplitude(s, p).components
+                uu = adjoint(dirac.u_amplitude(r, p).components) @ dirac.u_amplitude(s, p).components
+                vv = adjoint(dirac.v_amplitude(r, p).components) @ dirac.v_amplitude(s, p).components
                 d = 1.0 if r == s else 0.0
                 worst = max(worst, abs(uu - d), abs(vv + d))
     checks.append(("spinor_normalization", worst, 1e-10))
@@ -141,23 +235,19 @@ def verify_dirac():
     for p in _random_momenta(rng, 100):
         x = rng.uniform(-2.0, 2.0, size=4)
         for kind, r in (("+", 1), ("+", 2), ("-", 1), ("-", 2)):
-            worst = max(worst, float(np.linalg.norm(dirac.dirac_residual(kind, r, p, x))))
+            worst = max(worst, float(np.linalg.norm(dirac_residual(kind, r, p, x))))
     checks.append(("plane_wave_residual_analytic", worst, 1e-12))
 
     p = dirac.FourMomentum.on_shell(0.3, -0.2, 0.7, 1.0)
     worst = 0.0
     axis = np.linspace(-1.0, 1.0, 4)
-    for x1 in axis:
-        for x2 in axis:
-            for x3 in axis:
-                for x4 in axis:
-                    x = (x1, x2, x3, x4)
-                    for kind, r in (("+", 1), ("-", 2)):
-                        worst = max(worst, float(np.linalg.norm(dirac.dirac_residual_fd(kind, r, p, x))))
+    for x in itertools.product(axis, repeat=4):
+        for kind, r in (("+", 1), ("-", 2)):
+            worst = max(worst, float(np.linalg.norm(dirac_residual_fd(kind, r, p, x))))
     checks.append(("plane_wave_residual_central_difference", worst, 1e-6))
 
     off = dirac.FourMomentum.off_shell(1.1, 0.0, 0.0, 0.0, 1.0)
-    norm = float(np.linalg.norm(dirac.dirac_residual("+", 1, off, (0.0, 0.0, 0.0, 0.0))))
+    norm = float(np.linalg.norm(dirac_residual("+", 1, off, (0.0, 0.0, 0.0, 0.0))))
     checks.append(("offshell_negative_control", 0.0 if norm > 1e-2 else math.inf, 1e-10))
 
     return checks, 1e-10, {}
@@ -603,8 +693,11 @@ _SUITE_FUNCS = {
 SUITES = (*_SUITE_FUNCS, "all")
 
 
-def check_tolerance(tol: float | None) -> None:
-    """Refuse a ``tol`` that is given but not finite and non-negative."""
+def check_arguments(name: str, tol: float | None) -> None:
+    """Refuse a suite ``name`` not in ``SUITES``, then a ``tol`` that is
+    given but not finite and non-negative."""
+    if name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if tol is not None and not (math.isfinite(tol) and tol >= 0.0):
         raise DomainError(f"tolerance must be finite and non-negative, got {tol}")
 
@@ -615,11 +708,11 @@ def run_suite(name: str, tol: float | None = None) -> RunReport:
     Each suite returns ``(checks, headline_tol, details)`` and this driver
     alone turns them into a ``RunReport``: ``tol``, when given, replaces
     every check's tolerance and the headline; it must be finite and
-    non-negative.  ``"all"`` calls every ``_SUITE_FUNCS`` entry once, in
-    order, and reports the worst residual/tolerance ratio over the suites
-    against a tolerance of 1.
+    non-negative, and ``name`` one of ``SUITES``.  ``"all"`` calls every
+    ``_SUITE_FUNCS`` entry once, in order, and reports the worst
+    residual/tolerance ratio over the suites against a tolerance of 1.
     """
-    check_tolerance(tol)
+    check_arguments(name, tol)
     if name == "all":
         reports = [_assemble(suite, *fn(), tol) for suite, fn in _SUITE_FUNCS.items()]
         return RunReport(
@@ -637,6 +730,4 @@ def run_suite(name: str, tol: float | None = None) -> RunReport:
                 for r in reports
             },
         )
-    if name not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return _assemble(name, *_SUITE_FUNCS[name](), tol)

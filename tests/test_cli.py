@@ -47,14 +47,23 @@ def test_spinor_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "spinor", "--kind", "u", "--r", "1", "--m", "-1")
     assert code == 2
     assert "error" in err
+    # off shell with E + m <= 0 no amplitude exists
+    for argv, E in ((("--kind", "v", "--r", "2", "--E", "-3", "--pz", "0.3"), -3.0),
+                    (("--kind", "u", "--r", "1", "--E", "-1"), -1.0)):
+        code, out, err = run(capsys, "spinor", *argv, "--m", "1", "--off-shell")
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: spinor amplitudes need E + m > 0, got E = {E}, m = 1.0\n"
 
 
-def test_spinor_usage_error_exit_2():
-    for argv in (["spinor", "--kind", "w", "--r", "1", "--m", "1"],
-                 ["verify", "--suite", "bogus"]):
-        with pytest.raises(SystemExit) as e:
-            main(argv)
-        assert e.value.code == 2
+def test_spinor_usage_error_exit_2(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["spinor", "--kind", "w", "--r", "1", "--m", "1"])
+    assert e.value.code == 2
+    capsys.readouterr()
+    # the suite name is checked by verify, not by argparse
+    code, out, err = run(capsys, "verify", "--suite", "bogus")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: unknown suite 'bogus'") and err.count("\n") == 1, err
 
 
 def test_hypersph_single_point(capsys):
@@ -88,17 +97,23 @@ def test_hypersph_singular_pair_exit_2(capsys):
 
 
 def test_hypersph_bad_domain_exit_2(capsys):
-    for argv in (
-        ("--l", "1/2", "--m", "1/2", "--tau", "0"),
-        ("--l", "7/2", "--m", "7/2", "--tau", "800"),  # cosh(tau/2)**7 overflows
-        ("--l", "1/2", "--m", "1/2", "--tau", "1410"),  # the kernel's product overflows
-        ("--l", "inf", "--m", "1/2"),
-        ("--l", "1/2", "--m", "1/2", "--theta=-1e308:1e308:3"),  # the span overflows
+    for argv, why in (
+        (("--l", "1/2", "--m", "1/2", "--tau", "0"), "tau must be positive"),
+        # cosh(tau/2)**7 overflows
+        (("--l", "7/2", "--m", "7/2", "--tau", "800"), "tau=800.0) overflows"),
+        # the kernel's product overflows
+        (("--l", "1/2", "--m", "1/2", "--tau", "1410"), "tau=1410.0) overflows"),
+        # cosh(tau/2) itself overflows
+        (("--l", "0", "--m", "0", "--tau", "1500"), "tau=1500.0) overflows"),
+        (("--l", "inf", "--m", "1/2"), "not a half-integer: inf"),
+        # the span overflows
+        (("--l", "1/2", "--m", "1/2", "--theta=-1e308:1e308:3"), "non-finite value"),
     ):
         code, out, err = run(capsys, "hypersph", *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert why in err, err
 
 
 def test_malformed_axis_spec_exit_2_naming_the_spec(capsys):
@@ -171,6 +186,9 @@ def test_wavefunction_factor_overflow_exit_2(capsys):
     for argv, why in (
         ((*base, "--m", "1", "--c1", "1e300"), "not finite"),  # a Lorentz factor entry
         ((*base, "--m", "1e-10", "--pz", "1e10"), "overflows"),  # finite factors, their product
+        # cosh(tau/2) in the kernel's prefactor
+        (("wavefunction", "--m", "1", "--pz", "0.75", "--l", "1/2", "--kappa", "0.5",
+          "--kappa-dot", "0.5", "--tau", "1e300"), "tau=1e+300) overflows"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -253,12 +271,22 @@ def test_values_starting_with_dash_parse_as_values(capsys):
 
 
 def test_imports_do_not_load_mpmath():
+    # nor numpy: only verify imports it, and the evaluation commands do not
+    # load verify
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import poincarewave, poincarewave.cli; "
             "assert 'mpmath' not in sys.modules, 'mpmath imported'; "
+            "assert 'numpy' not in sys.modules, 'numpy imported'; "
+            "from poincarewave.cli import main; "
+            "assert main(['hypersph', '--l', '1/2', '--m', '1/2', '--theta', '0.5:2.5:3']) == 0; "
+            "assert main(['wavefunction', '--m', '1', '--pz', '0.75', '--l', '1/2', "
+            "'--kappa', '0.5', '--kappa-dot', '0.5', '--x1', '0:1:2', '--format', 'csv']) == 0; "
+            "assert 'numpy' not in sys.modules, 'numpy imported by a command'; "
+            "assert 'mpmath' not in sys.modules, 'mpmath imported by a command'; "
             "from poincarewave import RunReport, run_suite")
-    subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60)
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60,
+                   capture_output=True)
 
 
 def test_every_exported_name_resolves():
@@ -331,10 +359,14 @@ def test_unopenable_out_path_exit_2(tmp_path, capsys, monkeypatch, argv):
 
 def test_bad_tol_leaves_no_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
-    code, out, err = run(capsys, "verify", "--suite", "gamma", "--tol", "nan", "--out", str(path))
-    assert (code, out) == (2, "")
-    assert err == "error: tolerance must be finite and non-negative, got nan\n"
-    assert not path.exists()
+    for argv, message in (
+        (("--suite", "gamma", "--tol", "nan"), "tolerance must be finite and non-negative, got nan"),
+        (("--suite", "bogus"), f"unknown suite 'bogus'; choose from {verify.SUITES}"),
+    ):
+        code, out, err = run(capsys, "verify", *argv, "--out", str(path))
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}\n"
+        assert not path.exists(), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,6 +465,10 @@ _VERIFY = st.builds(
                "--py=1"])
 @example(argv=["spinor", "--kind=u", "--r=1", "--m=1", "--off-shell", "--E=1e308",
                "--px=1e308"])
+# off shell with E + m <= 0: no amplitude exists
+@example(argv=["spinor", "--kind", "v", "--r", "2", "--m", "1", "--off-shell", "--E", "-3",
+               "--pz", "0.3"])
+@example(argv=["spinor", "--kind", "u", "--r", "1", "--m", "1", "--off-shell", "--E", "-1"])
 # a tolerance that is not finite, or negative
 @example(argv=["verify", "--suite=gamma", "--tol=nan"])
 @example(argv=["verify", "--suite=gamma", "--tol=inf"])

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from poincarewave.dirac import (
+from poincarewave.dirac import FourMomentum, plane_wave, u_amplitude, v_amplitude
+from poincarewave.errors import OffShellError
+from poincarewave.verify import (
     GAMMA,
     METRIC,
-    FourMomentum,
     adjoint,
     dirac_residual,
     dirac_residual_fd,
     momentum_slash,
-    plane_wave,
-    u_amplitude,
-    v_amplitude,
 )
-from poincarewave.errors import OffShellError
 
 
 def test_gamma_anticommutators_exact():

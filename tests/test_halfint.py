@@ -25,6 +25,13 @@ def test_from_value_rejects_non_half_integers():
         HalfInt.from_value("1/3")
 
 
+@pytest.mark.parametrize("value", ["1/2/3", "1/x"])
+def test_from_value_refuses_malformed_strings(value):
+    with pytest.raises(ValueError) as e:
+        HalfInt.from_value(value)
+    assert str(e.value) == f"not a half-integer: {value!r}"
+
+
 def test_arithmetic_is_exact():
     assert half(1) + half(1) == half(2)
     assert half(3) - half(4) == half(-1)
