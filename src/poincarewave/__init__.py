@@ -40,6 +40,7 @@ from .hypersph import (
     m_assoc_pair,
     sum_index_values,
     z_assoc,
+    z_grid,
 )
 from .radial import (
     RadialParams,
@@ -105,6 +106,7 @@ __all__ = [
     "m_assoc_pair",
     "sum_index_values",
     "z_assoc",
+    "z_grid",
     "RadialParams",
     "RadialPoint",
     "argument_scale",

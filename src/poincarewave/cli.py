@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -162,12 +163,14 @@ def cmd_hypersph(args) -> int:
     idx = hypersph.HypersphIndex(HalfInt.from_value(args.l), HalfInt.from_value(args.m))
     fields = ("theta", "tau", "phi", "eps")
     axes = dict(zip(fields, _axes([args.theta, args.tau, args.phi, args.eps])))
-    # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel once per
-    # (theta, tau) point, the phase once per (phi, eps) point
+    # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
+    # (theta, tau) sub-grid in one z_grid call, whose rows sweep walks in
+    # order, and the phase once per (phi, eps) point
+    zs = itertools.chain.from_iterable(hypersph.z_grid(idx, axes["theta"], axes["tau"]))
     rows = assembly.sweep(
         axes,
         ("theta", "tau"),
-        lambda theta, tau: ((theta, tau), (hypersph.z_assoc(idx, theta, tau),)),
+        lambda theta, tau: ((theta, tau), (next(zs),)),
         lambda phi, eps: ((phi, eps), (hypersph.phase(
             idx.m, hypersph.EulerAngles(phi=phi, eps=eps), args.dotted),)),
     )

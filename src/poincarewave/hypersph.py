@@ -16,7 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
@@ -163,13 +163,17 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     (and at l = 0); near their endpoints they slow and then raise
     TermCapExceeded (the theta factor of m = l as theta -> pi) or
     NonConvergent (the tau factor of l >= 3/2 once tanh^2(tau/2) rounds to
-    1).  A prefactor or result that is not finite raises OverflowError.
+    1).  A prefactor or result that is not finite raises OverflowError,
+    and so does a tau so small that tanh(tau/2) underflows to 0 (tau =
+    5e-324) when l > 0, where the k > 0 terms carry tanh^{-k}(tau/2) = inf.
     """
     _check_open_domain(theta, tau)
     plan = kernel_plan(idx)
     l = idx.l
     t = math.tan(0.5 * theta)
     h = math.tanh(0.5 * tau)
+    if h == 0.0 and l.twice:
+        raise _vanishing_tanh(idx, tau)
     try:
         prefactor = math.cos(0.5 * theta) ** l.twice * math.cosh(0.5 * tau) ** l.twice
     except OverflowError:  # cosh(tau/2), or its power, past the double range
@@ -198,8 +202,101 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     return z
 
 
+def z_grid(
+    idx: HypersphIndex, thetas: Sequence[float], taus: Sequence[float]
+) -> list[list[complex]]:
+    """Z^l_m over the grid thetas x taus: row i holds Z(thetas[i], tau) for
+    each tau, and each value is bitwise ``z_assoc(idx, theta, tau)``.
+
+    A k-term splits into a theta part and a tau part, so each is made once
+    per grid value: per theta cos^{2l}(theta/2) and, for each k,
+    i^n tan^n(theta/2) and F_theta; per tau cosh^{2l}(tau/2) and, for each
+    k, tanh^{-k}(tau/2) and F_tau.  A point is then the Kahan sum over k of
+    ((i^n tan^n) tanh^{-k}) F_theta F_tau, in ``z_assoc``'s order, times
+    the two prefactors.
+
+    Every error is raised before anything is returned, and it is the error
+    ``z_assoc`` raises at one of the grid's points: the work runs in
+    ``z_assoc``'s order, each step over the whole grid.  First the domain
+    and the plan (at the first point in row order that fails either), then
+    the tau-only checks that precede the k-sum (named at the first theta),
+    then the parts of each k-term in turn, then each value's overflow
+    check.  Where several points fail, the one reported may therefore not
+    be the first in row order.
+    """
+    if not (thetas and taus):
+        return [[] for _ in thetas]
+    # z_assoc's error at the first point in row order that is outside the
+    # domain or has no plan: the first point, the plan, then the first row
+    # and the first column
+    _check_open_domain(thetas[0], taus[0])
+    plan = kernel_plan(idx)
+    for tau in taus:
+        _check_open_domain(thetas[0], tau)
+    for theta in thetas:
+        _check_open_domain(theta, taus[0])
+    l2 = idx.l.twice
+    hs, tau_prefs = [], []
+    for tau in taus:
+        h = math.tanh(0.5 * tau)
+        if h == 0.0 and l2:
+            raise _vanishing_tanh(idx, tau)
+        try:
+            tau_prefs.append(math.cosh(0.5 * tau) ** l2)
+        except OverflowError:
+            raise _overflow(idx, thetas[0], tau) from None
+        hs.append(h)
+    ts = [math.tan(0.5 * theta) for theta in thetas]
+    t2s = [t * t for t in ts]
+    xs = [complex(-t2) for t2 in t2s]
+    ys = [complex(h * h) for h in hs]
+
+    # The parts of each k-term, term after term and, within a term, in the
+    # order z_assoc evaluates them (tan^n, tanh^-k, F_theta, F_tau): the
+    # first part that fails at a grid value fails as z_assoc does at every
+    # point with that value.
+    theta_cols, tau_cols = [], []
+    for unit, n, exponent, theta_f, tau_f in plan:
+        tan_n = [unit * t**n for t in ts]
+        tanh_k = [h**exponent for h in hs]
+        theta_cols.append(list(zip(tan_n, [
+            theta_f(x) if theta_f is not None else (math.log1p(t2) / t2 if t2 else 1.0)
+            for x, t2 in zip(xs, t2s)])))
+        tau_cols.append(list(zip(tanh_k, [
+            tau_f(y) if tau_f is not None else (0.5 * tau) / h
+            for y, h, tau in zip(ys, hs, taus)])))
+    # per theta: cos^{2l}(theta/2) and (i^n tan^n, F_theta) for each k;
+    # per tau: cosh^{2l}(tau/2) and (tanh^-k, F_tau) for each k
+    theta_rows = zip([math.cos(0.5 * theta) ** l2 for theta in thetas], zip(*theta_cols))
+    tau_rows = list(zip(tau_prefs, zip(*tau_cols)))
+
+    out = []
+    for theta, (theta_pref, theta_terms) in zip(thetas, theta_rows):
+        row = []
+        for tau, (tau_pref, tau_terms) in zip(taus, tau_rows):
+            total = 0.0 + 0.0j
+            comp = 0.0 + 0.0j  # Kahan carry
+            for (a, f_theta), (b, f_tau) in zip(theta_terms, tau_terms):
+                yv = a * b * f_theta * f_tau - comp
+                tv = total + yv
+                comp = (tv - total) - yv
+                total = tv
+            z = theta_pref * tau_pref * total
+            if not cmath.isfinite(z):
+                raise _overflow(idx, theta, tau)
+            row.append(z)
+        out.append(row)
+    return out
+
+
 def _overflow(idx: HypersphIndex, theta: float, tau: float) -> OverflowError:
     return OverflowError(f"Z^{idx.l}_{idx.m}(theta={theta}, tau={tau}) overflows")
+
+
+def _vanishing_tanh(idx: HypersphIndex, tau: float) -> OverflowError:
+    return OverflowError(
+        f"tanh(tau/2) underflows to 0 at tau={tau}, where the k > 0 terms of "
+        f"Z^{idx.l}_{idx.m} diverge")
 
 
 def phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:

@@ -361,55 +361,100 @@ def verify_hyp2f1():
 # ---------------------------------------------------------------- hypersph
 
 _ORACLE_DPS = 25
-_factor_cache: dict = {}
 
 
-def _oracle_factor(a, b, c, xkey, x, dps):
-    """One hypergeometric factor at high precision, cached per grid value."""
+def _oracle_factor(a, b, c, xkey, x, dps, cache):
+    """One hypergeometric factor at high precision, kept in ``cache`` per
+    (a, b, c, grid value): a value is computed once, at the precision of
+    its first request."""
     import mpmath as mp
 
     key = (a, b, c, xkey)
-    if key in _factor_cache:
-        return _factor_cache[key]
+    if key in cache:
+        return cache[key]
     jmax = specfun._termination_index(a, b)
     if jmax is not None:
         val = mp_hyp2f1_series(mp.mpf(a), mp.mpf(b), mp.mpf(c), x, jmax=jmax, dps=dps)
     else:
         with mp.workdps(dps):
             val = mp.hyp2f1(a, b, c, x)
-    _factor_cache[key] = val
+    cache[key] = val
     return val
 
 
-def z_assoc_oracle(idx: hypersph.HypersphIndex, theta: float, tau: float) -> complex:
-    """Independent high-precision direct summation of the Z kernel."""
+def _oracle_theta_row(terms, l2, theta, dps, cache):
+    """cos^{2l}(theta/2) and, per k, (i^n tan^n(theta/2), F_theta) at
+    ``dps`` digits."""
     import mpmath as mp
 
-    # 1 - tanh^2(tau/2) ~ 4 e^{-tau}: forming tanh^2 cancels tau/ln(10)
-    # digits, which the tau factors (singular at tanh^2 = 1) need back
-    dps = _ORACLE_DPS + int(tau / math.log(10))
     with mp.workdps(dps):
-        l, m = idx.l, idx.m
         th = mp.mpf(theta)
-        ta = mp.mpf(tau)
         t = mp.tan(th / 2)
-        h = mp.tanh(ta / 2)
         x = -t * t
+        return mp.cos(th / 2) ** l2, [
+            (mp.mpc(0, 1) ** n * t**n, _oracle_factor(*abc, (theta, "th"), x, dps, cache))
+            for n, _, abc, _ in terms]
+
+
+def _oracle_tau_row(terms, l2, tau, dps, cache):
+    """cosh^{2l}(tau/2) and, per k, (tanh^{-k}(tau/2), F_tau) at ``dps``
+    digits."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        ta = mp.mpf(tau)
+        h = mp.tanh(ta / 2)
         y = h * h
-        pref = mp.cos(th / 2) ** l.twice * mp.cosh(ta / 2) ** l.twice
-        s = mp.mpc(0)
-        for k in hypersph.sum_index_values(idx):
-            n = (m.twice - k.twice) // 2
-            a1, b1, c1, a2, b2, c2 = hypersph._term_params(idx, k)
-            term = (
-                mp.mpc(0, 1) ** n
-                * t**n
-                * h ** mp.mpf(-k.twice / 2.0)
-                * _oracle_factor(a1, b1, c1, (theta, "th"), x, dps)
-                * _oracle_factor(a2, b2, c2, (tau, "ta"), y, dps)
-            )
-            s += term
-        return complex(pref * s)
+        return mp.cosh(ta / 2) ** l2, [
+            (h ** mp.mpf(e), _oracle_factor(*abc, (tau, "ta"), y, dps, cache))
+            for _, e, _, abc in terms]
+
+
+def z_grid_oracle(idx: hypersph.HypersphIndex, thetas, taus, cache=None) -> list[list[complex]]:
+    """Independent high-precision direct summation of the Z kernel over the
+    grid thetas x taus, in the row layout of ``hypersph.z_grid``.
+
+    Each point works at ``_ORACLE_DPS`` digits plus tau/ln(10): 1 -
+    tanh^2(tau/2) ~ 4 e^{-tau}, so forming tanh^2 cancels that many
+    digits, which the tau factors (singular at tanh^2 = 1) need back.  The
+    theta parts are made once per (theta, precision), the tau parts once
+    per tau, and a point is the sum over k of ((i^n tan^n) tanh^{-k})
+    F_theta F_tau times cos^{2l} cosh^{2l}.  The factors live in ``cache``,
+    a dict the caller may share between calls (``verify_hypersph`` shares
+    one across its indices); it is keyed without the precision, so a theta
+    factor is computed at the precision of the first tau that needs it.
+    """
+    import mpmath as mp
+
+    cache = {} if cache is None else cache
+    # per k: n = m - k, the exponent -k, the theta and the tau factor's (a, b, c)
+    terms = []
+    for k in hypersph.sum_index_values(idx):
+        params = hypersph._term_params(idx, k)
+        terms.append(((idx.m.twice - k.twice) // 2, -k.twice / 2.0, params[:3], params[3:]))
+    l2 = idx.l.twice
+    dpss = [_ORACLE_DPS + int(tau / math.log(10)) for tau in taus]
+    tau_rows = [_oracle_tau_row(terms, l2, tau, dps, cache) for tau, dps in zip(taus, dpss)]
+    out = []
+    for theta in thetas:
+        # in the order the taus first ask for each precision
+        theta_rows = {dps: _oracle_theta_row(terms, l2, theta, dps, cache)
+                      for dps in dict.fromkeys(dpss)}
+        row = []
+        for dps, (tau_pref, tau_terms) in zip(dpss, tau_rows):
+            theta_pref, theta_terms = theta_rows[dps]
+            with mp.workdps(dps):
+                s = mp.mpc(0)
+                for (a, f_theta), (b, f_tau) in zip(theta_terms, tau_terms):
+                    s += a * b * f_theta * f_tau
+                row.append(complex(theta_pref * tau_pref * s))
+        out.append(row)
+    return out
+
+
+def z_assoc_oracle(idx: hypersph.HypersphIndex, theta: float, tau: float) -> complex:
+    """``z_grid_oracle`` at one point, with a cache of its own."""
+    return z_grid_oracle(idx, [theta], [tau])[0][0]
 
 
 def hypersph_index_sweep():
@@ -425,27 +470,27 @@ def hypersph_index_sweep():
 
 def verify_hypersph():
     checks = []
-    thetas = np.linspace(0.1, math.pi - 0.1, 20)
-    taus = np.linspace(0.1, 5.0, 20)
+    thetas = np.linspace(0.1, math.pi - 0.1, 20).tolist()
+    taus = np.linspace(0.1, 5.0, 20).tolist()
 
     n_eval = n_sing = 0
     worst = 0.0
     singular_ok = True
+    cache: dict = {}  # the oracle's factors, for this run only
     for idx, evaluable in hypersph_index_sweep():
         if evaluable:
             n_eval += 1
-            for th in thetas:
-                for ta in taus:
-                    got = hypersph.z_assoc(idx, float(th), float(ta))
-                    if not (math.isfinite(got.real) and math.isfinite(got.imag)):
-                        worst = math.inf
-                        continue
-                    ref = z_assoc_oracle(idx, float(th), float(ta))
-                    worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
+            grid = hypersph.z_grid(idx, thetas, taus)
+            refs = z_grid_oracle(idx, thetas, taus, cache)
+            for got, ref in zip(itertools.chain(*grid), itertools.chain(*refs)):
+                if not (math.isfinite(got.real) and math.isfinite(got.imag)):
+                    worst = math.inf
+                    continue
+                worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
         else:
             n_sing += 1
             try:
-                hypersph.z_assoc(idx, float(thetas[0]), float(taus[0]))
+                hypersph.z_assoc(idx, thetas[0], taus[0])
                 singular_ok = False
             except PoleInDenominator:
                 pass
@@ -476,12 +521,13 @@ def verify_hypersph():
     worst = 0.0
     idx = hypersph.HypersphIndex(HalfInt(1), HalfInt(1))
     dtau = 1e-3
-    taus_fine = np.arange(0.1, 5.0, 0.05)
-    for ta in taus_fine:
-        ta = float(ta)
-        v0 = hypersph.z_assoc(idx, 1.0, ta)
-        v1 = hypersph.z_assoc(idx, 1.0, ta + dtau)
-        slope = abs(hypersph.z_assoc(idx, 1.0, ta + 0.05) - v0) / 0.05
+    taus_fine = np.arange(0.1, 5.0, 0.05).tolist()
+    # one 1 x 3N grid at theta = 1: each tau, tau + dtau and tau + 0.05
+    row = hypersph.z_grid(idx, [1.0], [*taus_fine, *(ta + dtau for ta in taus_fine),
+                                       *(ta + 0.05 for ta in taus_fine)])[0]
+    n = len(taus_fine)
+    for v0, v1, v2 in zip(row[:n], row[n:2 * n], row[2 * n:]):
+        slope = abs(v2 - v0) / 0.05
         if abs(v1 - v0) >= 10.0 * dtau * max(slope, 1e-6):
             worst = math.inf
     checks.append(("continuity_probe", worst, 1e-9))

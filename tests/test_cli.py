@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import io
 import json
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, hypersph, verify
+from poincarewave import GRID_AXES, hypersph, specfun, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -196,22 +197,45 @@ def test_wavefunction_factor_overflow_exit_2(capsys):
         assert why in err
 
 
+def test_vanishing_tanh_exit_2_naming_tau(capsys):
+    # tanh(tau/2) underflows to 0 at the smallest positive tau
+    for argv in (
+        ("hypersph", "--l", "1/2", "--m", "1/2", "--tau", "5e-324"),
+        ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
+         "--tau", "5e-324"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "tau=5e-324" in err, err
+
+
 def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys):
-    calls = [0]
-    z_assoc = hypersph.z_assoc
+    # each theta factor of the plan runs once per theta, each tau factor once
+    # per tau, and no kernel is evaluated point by point
+    idx = hypersph.HypersphIndex(half(7), half(5))
+    plan = hypersph.kernel_plan(idx)
+    calls = collections.Counter()
+    series_call = specfun.GaussSeries.__call__
 
-    def counting(*args):
-        calls[0] += 1
-        return z_assoc(*args)
+    def counting(self, x):
+        calls[id(self), x] += 1
+        return series_call(self, x)
 
-    monkeypatch.setattr(hypersph, "z_assoc", counting)
+    monkeypatch.setattr(specfun.GaussSeries, "__call__", counting)
+    monkeypatch.setattr(hypersph, "z_assoc", lambda *args: pytest.fail("pointwise z_assoc"))
+    thetas, taus = (0.5, 1.5, 2.5), (0.5, 2.0)
     code, out, _ = run(capsys, "hypersph", "--l", "7/2", "--m", "5/2", "--theta", "0.5:2.5:3",
                        "--tau", "0.5:2:2", "--phi", "-1:2:3", "--eps", "-0.5:0.5:2")
     assert code == 0
-    assert calls[0] == 6
+    expected = {key: 1 for term in plan for key in (
+        *((id(term.theta), complex(-math.tan(0.5 * th) ** 2)) for th in thetas),
+        *((id(term.tau), complex(math.tanh(0.5 * ta) ** 2)) for ta in taus))}
+    assert len(expected) == 8 * (3 + 2)  # 8 k-terms, none a closed form
+    assert calls == expected
+    monkeypatch.undo()
     rows = json.loads(out)["rows"]
     assert len(rows) == 36
-    idx = hypersph.HypersphIndex(half(7), half(5))
     for row in rows:
         ang = hypersph.EulerAngles(phi=row["phi"], eps=row["eps"], theta=row["theta"],
                                    tau=row["tau"])

@@ -1,9 +1,10 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
-from poincarewave.errors import DomainError, InvalidIndex, PoleInDenominator
+from poincarewave.errors import DomainError, InvalidIndex, NonConvergent, PoleInDenominator
 from poincarewave.halfint import HalfInt, half
 from poincarewave.hypersph import (
     EulerAngles,
@@ -15,8 +16,10 @@ from poincarewave.hypersph import (
     m_assoc_pair,
     sum_index_values,
     z_assoc,
+    z_grid,
 )
 from poincarewave.specfun import GaussSeries
+from poincarewave.verify import hypersph_index_sweep
 
 # frozen high-precision direct-summation values
 GOLDEN_HALF_HALF = 1.1729352093275558 + 0.4065083666624422j  # l=m=1/2, theta=pi/2, tau=1
@@ -174,3 +177,75 @@ def test_half_kernel_sums_no_non_terminating_series():
     # every other l keeps the series, the non-terminating ones included
     assert any(isinstance(f, GaussSeries) and (f.a, f.b, f.c, f.jmax) == (1.0, 1.0, 3.0, None)
                for f in factors(HypersphIndex(half(2), half(2))))
+
+
+# verify's 20 x 20 grid, with tail values appended: theta near 0 and pi, small tau
+GRID_THETAS = [*np.linspace(0.1, math.pi - 0.1, 20).tolist(), 1e-8, 1e-4, 3.0]
+GRID_TAUS = [*np.linspace(0.1, 5.0, 20).tolist(), 1e-12, 1e-4]
+EVALUABLE = [idx for idx, evaluable in hypersph_index_sweep() if evaluable]  # l <= 7/2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("idx", EVALUABLE, ids=lambda idx: f"l={idx.l},m={idx.m}")
+def test_grid_matches_pointwise_bitwise(idx):
+    want = [[z_assoc(idx, theta, tau) for tau in GRID_TAUS] for theta in GRID_THETAS]
+    assert z_grid(idx, GRID_THETAS, GRID_TAUS) == want
+
+
+@pytest.mark.parametrize("m", (1, -1))
+def test_half_grid_matches_pointwise_up_to_the_overflow(m):
+    # Z^1/2 overflows at tau ~ 1408-1421 depending on theta and m
+    idx = HypersphIndex(half(1), half(m))
+    thetas, taus = (0.01, 1.0, math.pi / 2, 3.0, math.pi - 1e-4), (30.0, 700.0, 1400.0, 1405.0)
+    want = [[z_assoc(idx, theta, tau) for tau in taus] for theta in thetas]
+    assert z_grid(idx, thetas, taus) == want
+    for tau in (1409.5, 1410.0):
+        with pytest.raises(OverflowError) as exc:
+            z_grid(idx, thetas, (*taus, tau))
+        assert any(_outcome(z_assoc, idx, theta, t) == (OverflowError, str(exc.value))
+                   for theta in thetas for t in (*taus, tau))
+
+
+@pytest.mark.parametrize("lt, mt, bad_theta, bad_tau, error", [
+    (1, 1, None, 5e-324, OverflowError),  # tanh(tau/2) underflows to 0
+    (3, -3, None, 5e-324, OverflowError),
+    (1, 1, None, 1410.0, OverflowError),  # the value overflows
+    (7, 7, None, 800.0, OverflowError),  # cosh(tau/2)**7 overflows
+    (0, 0, None, 1500.0, OverflowError),  # cosh(tau/2) overflows
+    (3, -3, None, 50.0, NonConvergent),  # tanh^2(tau/2) rounds to 1
+    (3, -3, 1e-300, None, OverflowError),  # tan^n(theta/2), n < 0, overflows
+    (3, -3, 1e-300, 50.0, NonConvergent),  # the tau factor comes first
+    (1, 1, 0.0, None, DomainError),
+    (1, 1, None, 0.0, DomainError),
+    (3, -1, None, None, PoleInDenominator),
+])
+def test_grid_with_a_bad_point_raises_the_pointwise_error(lt, mt, bad_theta, bad_tau, error):
+    idx = HypersphIndex(half(lt), half(mt))
+    thetas = [0.5, 1.0 if bad_theta is None else bad_theta, 2.5]
+    taus = [0.5, 1.0 if bad_tau is None else bad_tau, 2.0]
+    want = _outcome(z_assoc, idx, thetas[1], taus[1])
+    assert want[0] is error
+    assert _outcome(z_grid, idx, thetas[1:2], taus[1:2]) == want
+    with pytest.raises(error) as exc:
+        z_grid(idx, thetas, taus)
+    # the grid's error is z_assoc's at one of its points
+    assert any(_outcome(z_assoc, idx, theta, tau) == (error, str(exc.value))
+               for theta in thetas for tau in taus)
+
+
+def test_vanishing_tanh_is_refused_naming_tau():
+    for grid in (False, True):
+        for m in (1, -1):
+            idx = HypersphIndex(half(1), half(m))
+            with pytest.raises(OverflowError, match="tanh.*tau=5e-324"):
+                z_grid(idx, [1.0], [5e-324]) if grid else z_assoc(idx, 1.0, 5e-324)
+    # l = 0 has no k > 0 term, and tau = 5e-324 stays a point of it
+    idx = HypersphIndex(half(0), half(0))
+    assert z_grid(idx, [1.0], [5e-324]) == [[z_assoc(idx, 1.0, 5e-324)]]
+    assert z_assoc(idx, 1.0, 5e-324) == pytest.approx(math.cos(0.5) ** 2, rel=1e-15)

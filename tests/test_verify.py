@@ -3,7 +3,8 @@ applies ``tol``, rescales to the headline tolerance and builds the report."""
 
 import math
 
-from poincarewave import verify
+from poincarewave import hypersph, verify
+from poincarewave.halfint import HalfInt
 
 REPORT_KEYS = ["suite", "cases", "max_residual", "tolerance", "passed", "details"]
 
@@ -59,3 +60,85 @@ def test_zero_tolerance_ratio_is_inf_for_a_positive_residual(monkeypatch):
 
 def test_report_keys():
     assert list(verify.run_suite("gamma").to_dict()) == REPORT_KEYS
+
+
+def _pointwise_oracle(idx, theta, tau, cache):
+    """The direct summation as it was written per point, with a factor
+    cache keyed on (a, b, c, grid value) that the caller passes."""
+    import mpmath as mp
+
+    dps = verify._ORACLE_DPS + int(tau / math.log(10))
+    with mp.workdps(dps):
+        th, ta = mp.mpf(theta), mp.mpf(tau)
+        t, h = mp.tan(th / 2), mp.tanh(ta / 2)
+        x, y = -t * t, h * h
+        pref = mp.cos(th / 2) ** idx.l.twice * mp.cosh(ta / 2) ** idx.l.twice
+        s = mp.mpc(0)
+        for k in hypersph.sum_index_values(idx):
+            n = (idx.m.twice - k.twice) // 2
+            a1, b1, c1, a2, b2, c2 = hypersph._term_params(idx, k)
+            s += (mp.mpc(0, 1) ** n * t**n * h ** mp.mpf(-k.twice / 2.0)
+                  * verify._oracle_factor(a1, b1, c1, (theta, "th"), x, dps, cache)
+                  * verify._oracle_factor(a2, b2, c2, (tau, "ta"), y, dps, cache))
+        return complex(pref * s)
+
+
+def test_grid_oracle_matches_pointwise_oracle_bitwise():
+    # taus at 25, 26 and 28 digits; the theta factors are computed at the
+    # first tau's precision both ways
+    thetas, taus = (0.3, 1.7, 3.0), (0.2, 2.5, 7.0)
+    for lt, mt in ((0, 0), (1, 1), (1, -1), (3, 1), (7, 7)):
+        idx = hypersph.HypersphIndex(HalfInt(lt), HalfInt(mt))
+        cache = {}
+        want = [[_pointwise_oracle(idx, th, ta, cache) for ta in taus] for th in thetas]
+        assert verify.z_grid_oracle(idx, thetas, taus) == want
+        assert [[verify.z_assoc_oracle(idx, th, ta) for ta in taus] for th in thetas] == [
+            [_pointwise_oracle(idx, th, ta, {}) for ta in taus] for th in thetas]
+
+
+def _hypersph_report_fails_on_the_grid_check():
+    report = verify.run_suite("hypersph")
+    assert not report.passed
+    assert report.details["worst_check"] == "grid_vs_direct_summation_oracle"
+
+
+def test_hypersph_grid_check_catches_a_dropped_k_term(monkeypatch):
+    z_grid, kernel_plan = hypersph.z_grid, hypersph.kernel_plan
+
+    def dropping(idx, thetas, taus):
+        with monkeypatch.context() as m:
+            m.setattr(hypersph, "kernel_plan", lambda i: kernel_plan(i)[:-1])
+            return z_grid(idx, thetas, taus)
+
+    monkeypatch.setattr(hypersph, "z_grid", dropping)
+    _hypersph_report_fails_on_the_grid_check()
+
+
+def test_hypersph_grid_check_catches_a_wrong_oracle_tanh_power(monkeypatch):
+    tau_row = verify._oracle_tau_row
+
+    def inverted(*args):
+        pref, terms = tau_row(*args)
+        return pref, [(1 / power, f) for power, f in terms]  # tanh^{+k} for tanh^{-k}
+
+    monkeypatch.setattr(verify, "_oracle_tau_row", inverted)
+    _hypersph_report_fails_on_the_grid_check()
+
+
+def test_hypersph_suite_repeats_and_keeps_no_oracle_cache(monkeypatch):
+    factors = []
+    oracle_factor = verify._oracle_factor
+
+    def counting(a, b, c, xkey, x, dps, cache):
+        if (a, b, c, xkey) not in cache:
+            factors.append((a, b, c, xkey, dps))
+        return oracle_factor(a, b, c, xkey, x, dps, cache)
+
+    monkeypatch.setattr(verify, "_oracle_factor", counting)
+    first = verify.run_suite("hypersph")
+    computed = len(factors)
+    second = verify.run_suite("hypersph")
+    assert first == second and first.passed
+    # the second run computed every factor again, in the same order: no
+    # oracle value outlived the first
+    assert computed > 0 and factors[computed:] == factors[:computed]
