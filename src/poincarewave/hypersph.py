@@ -163,12 +163,18 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     (and at l = 0); near their endpoints they slow and then raise
     TermCapExceeded (the theta factor of m = l as theta -> pi) or
     NonConvergent (the tau factor of l >= 3/2 once tanh^2(tau/2) rounds to
-    1).  A prefactor or result that is not finite raises OverflowError,
-    and so does a tau so small that tanh(tau/2) underflows to 0 (tau =
-    5e-324) when l > 0, where the k > 0 terms carry tanh^{-k}(tau/2) = inf.
+    1).  A prefactor or result that is not finite raises OverflowError
+    naming the point, and so does a k-term power tan^{m-k}(theta/2) or
+    tanh^{-k}(tau/2) that overflows or divides by 0 (m - k < 0 as theta
+    -> 0, k > 0 as tau -> 0), and a tau so small that tanh(tau/2)
+    underflows to 0 (tau = 5e-324) when l > 0.
     """
     _check_open_domain(theta, tau)
-    plan = kernel_plan(idx)
+    return _z(idx, kernel_plan(idx), theta, tau)
+
+
+def _z(idx: HypersphIndex, plan: tuple[KernelTerm, ...], theta: float, tau: float) -> complex:
+    """Z^l_m(theta, tau) from the plan of idx, on a point of the open domain."""
     l = idx.l
     t = math.tan(0.5 * theta)
     h = math.tanh(0.5 * tau)
@@ -185,10 +191,12 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     total = 0.0 + 0.0j
     comp = 0.0 + 0.0j  # Kahan carry
     for unit, n, exponent, theta_f, tau_f in plan:
+        try:
+            power = unit * t**n * h**exponent
+        except (OverflowError, ZeroDivisionError):  # n < 0 as t -> 0, k > 0 as h -> 0
+            raise _overflow(idx, theta, tau) from None
         term = (
-            unit
-            * t**n
-            * h**exponent
+            power
             * (theta_f(x) if theta_f is not None else (math.log1p(t2) / t2 if t2 else 1.0))
             * (tau_f(y) if tau_f is not None else (0.5 * tau) / h)
         )
@@ -208,21 +216,14 @@ def z_grid(
     """Z^l_m over the grid thetas x taus: row i holds Z(thetas[i], tau) for
     each tau, and each value is bitwise ``z_assoc(idx, theta, tau)``.
 
-    A k-term splits into a theta part and a tau part, so each is made once
-    per grid value: per theta cos^{2l}(theta/2) and, for each k,
-    i^n tan^n(theta/2) and F_theta; per tau cosh^{2l}(tau/2) and, for each
-    k, tanh^{-k}(tau/2) and F_tau.  A point is then the Kahan sum over k of
-    ((i^n tan^n) tanh^{-k}) F_theta F_tau, in ``z_assoc``'s order, times
-    the two prefactors.
-
-    Every error is raised before anything is returned, and it is the error
-    ``z_assoc`` raises at one of the grid's points: the work runs in
-    ``z_assoc``'s order, each step over the whole grid.  First the domain
-    and the plan (at the first point in row order that fails either), then
-    the tau-only checks that precede the k-sum (named at the first theta),
-    then the parts of each k-term in turn, then each value's overflow
-    check.  Where several points fail, the one reported may therefore not
-    be the first in row order.
+    A k-term splits into a theta part and a tau part, and its series
+    factors F_theta and F_tau depend on one grid value each, so for this
+    call every series factor of the plan keeps its values: each runs once
+    per theta and once per tau, and each point is ``z_assoc``'s k-sum of
+    them.  DomainError and PoleInDenominator are raised before any series
+    runs, as ``z_assoc`` raises them at the first point in row order that
+    fails either; any other error is ``z_assoc``'s at the first point in
+    row order that fails, and nothing is returned.
     """
     if not (thetas and taus):
         return [[] for _ in thetas]
@@ -235,58 +236,9 @@ def z_grid(
         _check_open_domain(thetas[0], tau)
     for theta in thetas:
         _check_open_domain(theta, taus[0])
-    l2 = idx.l.twice
-    hs, tau_prefs = [], []
-    for tau in taus:
-        h = math.tanh(0.5 * tau)
-        if h == 0.0 and l2:
-            raise _vanishing_tanh(idx, tau)
-        try:
-            tau_prefs.append(math.cosh(0.5 * tau) ** l2)
-        except OverflowError:
-            raise _overflow(idx, thetas[0], tau) from None
-        hs.append(h)
-    ts = [math.tan(0.5 * theta) for theta in thetas]
-    t2s = [t * t for t in ts]
-    xs = [complex(-t2) for t2 in t2s]
-    ys = [complex(h * h) for h in hs]
-
-    # The parts of each k-term, term after term and, within a term, in the
-    # order z_assoc evaluates them (tan^n, tanh^-k, F_theta, F_tau): the
-    # first part that fails at a grid value fails as z_assoc does at every
-    # point with that value.
-    theta_cols, tau_cols = [], []
-    for unit, n, exponent, theta_f, tau_f in plan:
-        tan_n = [unit * t**n for t in ts]
-        tanh_k = [h**exponent for h in hs]
-        theta_cols.append(list(zip(tan_n, [
-            theta_f(x) if theta_f is not None else (math.log1p(t2) / t2 if t2 else 1.0)
-            for x, t2 in zip(xs, t2s)])))
-        tau_cols.append(list(zip(tanh_k, [
-            tau_f(y) if tau_f is not None else (0.5 * tau) / h
-            for y, h, tau in zip(ys, hs, taus)])))
-    # per theta: cos^{2l}(theta/2) and (i^n tan^n, F_theta) for each k;
-    # per tau: cosh^{2l}(tau/2) and (tanh^-k, F_tau) for each k
-    theta_rows = zip([math.cos(0.5 * theta) ** l2 for theta in thetas], zip(*theta_cols))
-    tau_rows = list(zip(tau_prefs, zip(*tau_cols)))
-
-    out = []
-    for theta, (theta_pref, theta_terms) in zip(thetas, theta_rows):
-        row = []
-        for tau, (tau_pref, tau_terms) in zip(taus, tau_rows):
-            total = 0.0 + 0.0j
-            comp = 0.0 + 0.0j  # Kahan carry
-            for (a, f_theta), (b, f_tau) in zip(theta_terms, tau_terms):
-                yv = a * b * f_theta * f_tau - comp
-                tv = total + yv
-                comp = (tv - total) - yv
-                total = tv
-            z = theta_pref * tau_pref * total
-            if not cmath.isfinite(z):
-                raise _overflow(idx, theta, tau)
-            row.append(z)
-        out.append(row)
-    return out
+    plan = tuple(term._replace(theta=term.theta and functools.cache(term.theta),
+                               tau=term.tau and functools.cache(term.tau)) for term in plan)
+    return [[_z(idx, plan, theta, tau) for tau in taus] for theta in thetas]
 
 
 def _overflow(idx: HypersphIndex, theta: float, tau: float) -> OverflowError:

@@ -210,6 +210,23 @@ def test_vanishing_tanh_exit_2_naming_tau(capsys):
         assert "tau=5e-324" in err, err
 
 
+@pytest.mark.parametrize("argv, point", [
+    # tan^{m-k}(theta/2) with m - k < 0: overflows, or 0 to a negative power
+    (("--l", "3/2", "--m=-3/2", "--theta", "1e-300"), "theta=1e-300, tau=1.0"),
+    (("--l", "1", "--m=-1", "--theta", "5e-324"), "theta=5e-324, tau=1.0"),
+    # tanh^{-k}(tau/2) with k > 0
+    (("--l", "7/2", "--m=-7/2", "--tau", "1e-200"), "theta=1.5707963267948966, tau=1e-200"),
+    (("--l", "7/2", "--m", "7/2", "--tau", "1e-200"), "theta=1.5707963267948966, tau=1e-200"),
+    # a grid names its first failing point in row order
+    (("--l", "3/2", "--m=-3/2", "--theta=1:1e-300:2", "--tau=1:2:2"), "theta=1e-300, tau=1.0"),
+])
+def test_kernel_term_power_overflow_exit_2_naming_the_point(capsys, argv, point):
+    code, out, err = run(capsys, "hypersph", *argv)
+    assert (code, out) == (2, ""), argv
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"({point}) overflows" in err, err
+
+
 def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys):
     # each theta factor of the plan runs once per theta, each tau factor once
     # per tau, and no kernel is evaluated point by point

@@ -81,6 +81,19 @@ def test_evaluable_classification():
     assert not index_is_evaluable(HypersphIndex(half(7), half(3)))
 
 
+def test_evaluable_index_rule_up_to_2l_30():
+    # README "Admissible index pairs", over every (l, m) with 2l <= 30
+    for lt in range(31):
+        for mt in range(-lt, lt + 1, 2):
+            if lt <= 2:
+                want = True
+            elif lt % 2:  # half-integer l >= 3/2
+                want = mt == -lt or mt >= lt - 2
+            else:  # integer l >= 2
+                want = False
+            assert index_is_evaluable(HypersphIndex(half(lt), half(mt))) == want, (lt, mt)
+
+
 def test_singular_pair_raises_on_evaluation():
     with pytest.raises(PoleInDenominator):
         z_assoc(HypersphIndex(half(3), half(-1)), 1.0, 1.0)
@@ -220,6 +233,8 @@ def test_half_grid_matches_pointwise_up_to_the_overflow(m):
     (0, 0, None, 1500.0, OverflowError),  # cosh(tau/2) overflows
     (3, -3, None, 50.0, NonConvergent),  # tanh^2(tau/2) rounds to 1
     (3, -3, 1e-300, None, OverflowError),  # tan^n(theta/2), n < 0, overflows
+    (2, -2, 5e-324, None, OverflowError),  # tan(theta/2) = 0 to a power n < 0
+    (7, 7, None, 1e-200, OverflowError),  # tanh^{-k}(tau/2), k > 0, overflows
     (3, -3, 1e-300, 50.0, NonConvergent),  # the tau factor comes first
     (1, 1, 0.0, None, DomainError),
     (1, 1, None, 0.0, DomainError),
@@ -234,9 +249,41 @@ def test_grid_with_a_bad_point_raises_the_pointwise_error(lt, mt, bad_theta, bad
     assert _outcome(z_grid, idx, thetas[1:2], taus[1:2]) == want
     with pytest.raises(error) as exc:
         z_grid(idx, thetas, taus)
-    # the grid's error is z_assoc's at one of its points
-    assert any(_outcome(z_assoc, idx, theta, tau) == (error, str(exc.value))
-               for theta in thetas for tau in taus)
+    # the grid's error is z_assoc's at its first failing point in row order
+    outcomes = (_outcome(z_assoc, idx, theta, tau) for theta in thetas for tau in taus)
+    assert next(o for o in outcomes if isinstance(o, tuple)) == (error, str(exc.value))
+
+
+def test_grid_raises_the_error_of_its_first_failing_point():
+    # l = 3/2, m = -3/2: at theta = 1e-300 the k = 1/2 term's tan^{-2}(theta/2)
+    # overflows; at tau = 50 the k = -3/2 term's tau factor, summed first,
+    # raises NonConvergent.  (1e-300, 1.0) comes first in row order.
+    idx = HypersphIndex(half(3), half(-3))
+    thetas, taus = [1e-300, 1.0], [1.0, 50.0]
+    first = _outcome(z_assoc, idx, 1e-300, 1.0)
+    assert first == (OverflowError, "Z^3/2_-3/2(theta=1e-300, tau=1.0) overflows")
+    assert _outcome(z_assoc, idx, 1e-300, 50.0)[0] is NonConvergent
+    assert _outcome(z_grid, idx, thetas, taus) == first
+
+
+def test_grid_sums_each_series_once_per_value_and_call(monkeypatch):
+    idx = HypersphIndex(half(7), half(5))
+    thetas, taus = [0.5, 1.5, 2.5], [0.5, 2.0]
+    calls = []
+    series_call = GaussSeries.__call__
+
+    def counting(self, x):
+        calls.append((id(self), x))
+        return series_call(self, x)
+
+    monkeypatch.setattr(GaussSeries, "__call__", counting)
+    grids = []
+    for _ in range(2):
+        calls.clear()
+        grids.append(z_grid(idx, thetas, taus))
+        # 8 k-terms, each with a theta and a tau series: one call per value
+        assert len(calls) == len(set(calls)) == 8 * (len(thetas) + len(taus))
+    assert grids[0] == grids[1]
 
 
 def test_vanishing_tanh_is_refused_naming_tau():
