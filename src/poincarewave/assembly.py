@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
 
 from . import dirac, hypersph
@@ -20,7 +20,7 @@ from .dirac import FourMomentum, u_amplitude, v_amplitude
 from .errors import DomainError, SizeCapExceeded
 from .halfint import HalfInt
 from .hypersph import EulerAngles, HypersphIndex
-from .radial import RadialParams, RadialPoint, SignPair, argument_scale, f1_solution, f4_from_f1
+from .radial import RadialParams, SignPair, argument_scale, radial_values
 
 GRID_SIZE_CAP = 10**7
 
@@ -38,6 +38,10 @@ Entry = tuple[Any, tuple[complex, ...]]
 class GroupPoint:
     x: tuple[float, float, float, float]
     ang: EulerAngles
+
+    def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.x)):
+            raise DomainError(f"x must be finite, got {self.x}")
 
 
 @dataclass(frozen=True)
@@ -91,9 +95,7 @@ def _lorentz_part(cfg: SpinConfig) -> Callable[[EulerAngles], Factor]:
     rp = cfg.rp
     s = 1.0 if cfg.sign_pair == "+-" else -1.0
     a = argument_scale(rp.kappa, rp.kappa_dot)
-    pt = RadialPoint(cfg.radius)
-    f1 = f1_solution(rp, pt, a)
-    f4 = f4_from_f1(rp, pt, a)
+    f1, _, _, f4, _ = radial_values(rp, cfg.radius, a)
     c1, c2, c3, c4 = f1, s * f1, -s * f4, f4
     up = HypersphIndex(rp.l, _PLUS_HALF)
     dn = HypersphIndex(rp.l, -_PLUS_HALF)
@@ -141,14 +143,6 @@ def _validate_axis(name: str, values: Sequence[float]) -> None:
         raise DomainError(f"unknown grid axis {name!r}; valid axes: {GRID_AXES}")
     if len(values) == 0:
         raise DomainError(f"axis {name!r} has no points")
-    if name == "theta":
-        for v in values:
-            if not (0.0 < v < math.pi):
-                raise DomainError(f"theta axis value {v} outside (0, pi)")
-    if name == "tau":
-        for v in values:
-            if not v > 0.0:
-                raise DomainError(f"tau axis value {v} must be positive")
 
 
 def sweep(
@@ -218,28 +212,35 @@ def _largest(table: list[Entry]) -> list[float]:
 
 def grid_rows(
     cfg: SpinConfig,
-    base: GroupPoint,
     axes: Mapping[str, Sequence[float]],
 ) -> Iterator[tuple[tuple[float, float, float, float], EulerAngles, Factor]]:
     """The rows of ``grid_eval`` as an iterator of ``(x, angles, psi)``.
 
-    The grid is evaluated as the factorization, through ``sweep``: the
-    config-only work once, the translation factor once per point of the x
-    sub-grid, the Lorentz factor once per point of the angle sub-grid, and
-    each row as their componentwise product.  Every error is raised before
-    this returns.
+    ``axes`` maps every name in GRID_AXES to its values; a fixed
+    parameter is an axis of one value.  The grid is evaluated as the
+    factorization, through ``sweep``: the config-only work once, the
+    translation factor as a function of (x1, x2, x3, x4) once per point of
+    the x sub-grid, the Lorentz factor as a function of (phi, eps, theta,
+    tau) once per point of the angle sub-grid, and each row as their
+    componentwise product.  The (theta, tau) values are checked first,
+    with ``z_assoc``'s message for the first point in row order outside
+    its domain.  Every error is raised before this returns.
     """
     for name in axes:
         _validate_axis(name, axes[name])
+    missing = [name for name in GRID_AXES if name not in axes]
+    if missing:
+        raise DomainError(f"grid axes {missing} are missing")
+    hypersph.check_domain(axes["theta"], axes["tau"])
     translation = _translation_part(cfg)
     lorentz = _lorentz_part(cfg)
 
-    def at_x(**vals: float) -> Entry:
-        x = tuple(vals.get(name, b) for name, b in zip(_X_AXES, base.x))
+    def at_x(x1: float, x2: float, x3: float, x4: float) -> Entry:
+        x = (x1, x2, x3, x4)
         return x, translation(x)
 
-    def at_angles(**vals: float) -> Entry:
-        ang = replace(base.ang, **vals)
+    def at_angles(phi: float, eps: float, theta: float, tau: float) -> Entry:
+        ang = EulerAngles(phi, eps, theta, tau)
         return ang, lorentz(ang)
 
     return sweep(axes, _X_AXES, at_x, at_angles)
@@ -257,5 +258,8 @@ def grid_eval(
     lexicographic order of the axes in mapping order, and each row equals
     a pointwise ``bispinor`` call bitwise (see ``grid_rows``).
     """
+    b = base.ang
+    fixed = zip(GRID_AXES, (*base.x, b.phi, b.eps, b.theta, b.tau))
+    full = {**axes, **{name: [v] for name, v in fixed if name not in axes}}
     return [(GroupPoint(x, ang), PoincareBispinor(*psi))
-            for x, ang, psi in grid_rows(cfg, base, axes)]
+            for x, ang, psi in grid_rows(cfg, full)]

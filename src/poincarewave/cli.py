@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
-import itertools
 import json
 import math
 import sys
@@ -164,13 +163,15 @@ def cmd_hypersph(args) -> int:
     fields = ("theta", "tau", "phi", "eps")
     axes = dict(zip(fields, _axes([args.theta, args.tau, args.phi, args.eps])))
     # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
-    # (theta, tau) sub-grid in one z_grid call, whose rows sweep walks in
-    # order, and the phase once per (phi, eps) point
-    zs = itertools.chain.from_iterable(hypersph.z_grid(idx, axes["theta"], axes["tau"]))
+    # (theta, tau) sub-grid in one z_grid call, and the phase once per
+    # (phi, eps) point
+    zs = {(theta, tau): z
+          for theta, row in zip(axes["theta"], hypersph.z_grid(idx, axes["theta"], axes["tau"]))
+          for tau, z in zip(axes["tau"], row)}
     rows = assembly.sweep(
         axes,
         ("theta", "tau"),
-        lambda theta, tau: ((theta, tau), (next(zs),)),
+        lambda theta, tau: ((theta, tau), (zs[theta, tau],)),
         lambda phi, eps: ((phi, eps), (hypersph.phase(
             idx.m, hypersph.EulerAngles(phi=phi, eps=eps), args.dotted),)),
     )
@@ -203,13 +204,7 @@ def cmd_wavefunction(args) -> int:
         sign_pair=args.sign_pair,
     )
     specs = [getattr(args, name) for name in assembly.GRID_AXES]
-    values = dict(zip(assembly.GRID_AXES, _axes(specs)))
-    # GRID_AXES is x1..x4 then the angles in EulerAngles field order; an
-    # axis of one value is fixed in the base point, the grid sweeps the rest
-    first = [vals[0] for vals in values.values()]
-    base = assembly.GroupPoint(tuple(first[:4]), hypersph.EulerAngles(*first[4:]))
-    axes = {name: vals for name, vals in values.items() if len(vals) > 1}
-    rows = assembly.grid_rows(cfg, base, axes)
+    rows = assembly.grid_rows(cfg, dict(zip(assembly.GRID_AXES, _axes(specs))))
     doc = {
         "command": "wavefunction",
         "inputs": {

@@ -24,6 +24,10 @@ from .specfun import GaussSeries
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
+# Which (l, m) have a k-sum free of poles, as index_is_evaluable finds them.
+_EVALUABLE_RULE = ("Z^l_m is evaluable for every m at l in {0, 1/2, 1}, for m = -l "
+                  "or m >= l - 1 at half-integer l >= 3/2, and for no m at integer l >= 2")
+
 
 @dataclass(frozen=True)
 class EulerAngles:
@@ -40,6 +44,8 @@ class EulerAngles:
     eps2: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.phi) and math.isfinite(self.eps)):
+            raise DomainError(f"phi and eps must be finite, got {self.phi} and {self.eps}")
         if self.phi2 != 0.0 or self.eps2 != 0.0:
             raise DomainError("phi2 and eps2 must be zero")
 
@@ -68,6 +74,16 @@ def _check_open_domain(theta: float, tau: float) -> None:
         raise DomainError(f"theta must lie in (0, pi), got {theta}")
     if not tau > 0.0:
         raise DomainError(f"tau must be positive, got {tau}")
+
+
+def check_domain(thetas: Sequence[float], taus: Sequence[float]) -> None:
+    """Raise ``z_assoc``'s DomainError for the first point of the non-empty
+    grid thetas x taus, in row order, that lies outside the open domain:
+    the first row, then the first column."""
+    for tau in taus:
+        _check_open_domain(thetas[0], tau)
+    for theta in thetas:
+        _check_open_domain(theta, taus[0])
 
 
 def _term_params(idx: HypersphIndex, k: HalfInt):
@@ -101,8 +117,9 @@ def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
 
     An index that is not evaluable raises PoleInDenominator here, with the
     message of its first pole (k from -l up, the theta factor before the
-    tau factor), before any term is summed.  A build that raised is not
-    kept, so each call raises a fresh exception.
+    tau factor) followed by the rule of which indices are evaluable, before
+    any term is summed.  A build that raised is not kept, so each call
+    raises a fresh exception.
     """
     return _compiled_plan(idx.l.twice, idx.m.twice)
 
@@ -112,13 +129,16 @@ def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
 def _compiled_plan(l_twice: int, m_twice: int) -> tuple[KernelTerm, ...]:
     idx = HypersphIndex(HalfInt(l_twice), HalfInt(m_twice))
     terms = []
-    for k in sum_index_values(idx):
-        n = (idx.m.twice - k.twice) // 2  # m - k, an integer
-        a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
-        # the two non-terminating triples of l = 1/2 (see z_assoc)
-        theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else GaussSeries(a1, b1, c1)
-        tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else GaussSeries(a2, b2, c2)
-        terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
+    try:
+        for k in sum_index_values(idx):
+            n = (idx.m.twice - k.twice) // 2  # m - k, an integer
+            a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
+            # the two non-terminating triples of l = 1/2 (see z_assoc)
+            theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else GaussSeries(a1, b1, c1)
+            tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else GaussSeries(a2, b2, c2)
+            terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
+    except PoleInDenominator as exc:
+        raise PoleInDenominator(f"{exc}; {_EVALUABLE_RULE}") from None
     return tuple(terms)
 
 
@@ -228,14 +248,10 @@ def z_grid(
     if not (thetas and taus):
         return [[] for _ in thetas]
     # z_assoc's error at the first point in row order that is outside the
-    # domain or has no plan: the first point, the plan, then the first row
-    # and the first column
+    # domain or has no plan: the first point, the plan, then the rest
     _check_open_domain(thetas[0], taus[0])
     plan = kernel_plan(idx)
-    for tau in taus:
-        _check_open_domain(thetas[0], tau)
-    for theta in thetas:
-        _check_open_domain(theta, taus[0])
+    check_domain(thetas, taus)
     plan = tuple(term._replace(theta=term.theta and functools.cache(term.theta),
                                tau=term.tau and functools.cache(term.tau)) for term in plan)
     return [[_z(idx, plan, theta, tau) for tau in taus] for theta in thetas]

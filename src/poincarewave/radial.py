@@ -20,7 +20,7 @@ import cmath
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NonPositiveProduct
+from .errors import DomainError, NonPositiveProduct
 from .halfint import HalfInt
 from . import specfun
 
@@ -43,6 +43,9 @@ class RadialParams:
     l_dot: HalfInt
 
     def __post_init__(self) -> None:
+        for name in ("kappa", "kappa_dot", "C1", "C2"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa == 0 or self.kappa_dot == 0:
             raise NonPositiveProduct("kappa and kappa_dot must be nonzero")
         for name, q in (("l", self.l), ("l_dot", self.l_dot)):
@@ -59,15 +62,17 @@ class RadialPoint:
             raise ValueError(f"radial coordinate must be positive, got {self.z}")
 
 
-def _f1_with_derivatives(rp: RadialParams, z: float, a: float):
-    """f1, f1', f1'' at z, all via Bessel identities (no finite differences).
+def radial_values(rp: RadialParams, z: float, a: float):
+    """f1, f1', f1'', f4 and f4' at z, from one Bessel triple per branch.
 
     f1 = C1 a z J_l(az) + C2 a z J_{-l}(az);
     d/dz [a z J_nu(az)] = a J_nu + a^2 z J_nu', with J_nu' from the
-    two-sided identity and J_nu'' from the Bessel equation itself.
+    two-sided identity and J_nu'' from the Bessel equation itself (no
+    finite differences).  f4 = (1 / 2 kappa) ((l+1)/z f1 - f1') and its
+    derivative follow from these three.
     """
     l = rp.l
-    out = [0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j]
+    f1 = d1 = d2 = 0.0 + 0.0j
     for C, nu in ((rp.C1, l), (rp.C2, -l)):
         if C == 0:
             continue
@@ -75,18 +80,21 @@ def _f1_with_derivatives(rp: RadialParams, z: float, a: float):
         jm = specfun.bessel_j_half(nu - _ONE, az)
         j0 = specfun.bessel_j_half(nu, az)
         jp = specfun.bessel_j_half(nu + _ONE, az)
-        d1 = 0.5 * (jm - jp)
+        dj = 0.5 * (jm - jp)
         nuf = nu.twice / 2.0
-        d2 = -d1 / az + (nuf * nuf / (az * az) - 1.0) * j0
-        out[0] += C * a * z * j0
-        out[1] += C * (a * j0 + a * az * d1)
-        out[2] += C * (2.0 * a * a * d1 + a * a * az * d2)
-    return tuple(out)
+        ddj = -dj / az + (nuf * nuf / (az * az) - 1.0) * j0
+        f1 += C * a * z * j0
+        d1 += C * (a * j0 + a * az * dj)
+        d2 += C * (2.0 * a * a * dj + a * a * az * ddj)
+    lp1 = l.twice / 2.0 + 1.0
+    f4 = (lp1 / z * f1 - d1) / (2.0 * rp.kappa)
+    f4p = (-lp1 / (z * z) * f1 + lp1 / z * d1 - d2) / (2.0 * rp.kappa)
+    return f1, d1, d2, f4, f4p
 
 
 def f1_solution(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
     """C1 a z J_l(a z) + C2 a z J_{-l}(a z)."""
-    return _f1_with_derivatives(rp, pt.z, a)[0]
+    return radial_values(rp, pt.z, a)[0]
 
 
 def f4_from_f1(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
@@ -95,20 +103,12 @@ def f4_from_f1(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
     Equals (a^2 / 2 kappa) z (C1 J_{l+1}(az) - C2 J_{-l-1}(az)) by the
     Bessel recurrences.
     """
-    return _f4_with_derivative(rp, pt.z, a)[0]
-
-
-def _f4_with_derivative(rp: RadialParams, z: float, a: float):
-    f1, d1, d2 = _f1_with_derivatives(rp, z, a)
-    lp1 = rp.l.twice / 2.0 + 1.0
-    f4 = (lp1 / z * f1 - d1) / (2.0 * rp.kappa)
-    f4p = (-lp1 / (z * z) * f1 + lp1 / z * d1 - d2) / (2.0 * rp.kappa)
-    return f4, f4p
+    return radial_values(rp, pt.z, a)[3]
 
 
 def _positive_product(kappa: complex, kappa_dot: complex) -> complex:
     prod = complex(kappa) * complex(kappa_dot)
-    if abs(prod.imag) > 1e-14 * abs(prod) or prod.real <= 0.0:
+    if abs(prod.imag) > 1e-14 * abs(prod) or not prod.real > 0.0:
         raise NonPositiveProduct(
             f"kappa * kappa_dot must be real and positive, got {prod}"
         )
@@ -133,8 +133,7 @@ def reduced_system_residual(
     f1' - ((l + 1) / z) f1 + 2 kappa_dot f4.
     """
     z = pt.z
-    f1, d1, _ = _f1_with_derivatives(rp, z, a)
-    f4, f4p = _f4_with_derivative(rp, z, a)
+    f1, d1, _, f4, f4p = radial_values(rp, z, a)
     ld = rp.l_dot.twice / 2.0
     lp1 = rp.l.twice / 2.0 + 1.0
     r1 = f4p + ld / z * f4 - 2.0 * rp.kappa * f1
@@ -151,8 +150,7 @@ def full_system_residual(
         raise ValueError(f"signs must be '+-' or '-+', got {signs!r}")
     s = 1.0 if signs == "+-" else -1.0
     z = pt.z
-    f1, d1, _ = _f1_with_derivatives(rp, z, a)
-    f4, f4p = _f4_with_derivative(rp, z, a)
+    f1, d1, _, f4, f4p = radial_values(rp, z, a)
     f2, d2f = s * f1, s * d1
     f3, d3f = -s * f4, -s * f4p
     ldh = rp.l_dot.twice / 2.0 + 0.5  # l_dot + 1/2

@@ -540,7 +540,7 @@ def verify_hypersph():
 def _bessel_ode_parts(rp: radial.RadialParams, z: float, a: float):
     """z^2 f1'' - z f1' - (l^2 - 1 - 4 kappa kappa_dot z^2) f1, and the sum
     of its terms' moduli that the residual is measured against."""
-    f1, d1, d2 = radial._f1_with_derivatives(rp, z, a)
+    f1, d1, d2, _, _ = radial.radial_values(rp, z, a)
     lsq = (rp.l.twice / 2.0) ** 2
     kk4 = 4.0 * rp.kappa * rp.kappa_dot
     res = z * z * d2 - z * d1 - (lsq - 1.0 - kk4 * z * z) * f1
@@ -599,8 +599,7 @@ def verify_radial():
                 res, sc = _bessel_ode_parts(rp, pt.z, a)
                 worst_ode = max(worst_ode, abs(res) / sc)
 
-                f1 = radial.f1_solution(rp, pt, a)
-                f4 = radial.f4_from_f1(rp, pt, a)
+                f1, _, _, f4, _ = radial.radial_values(rp, pt.z, a)
                 sc = max(abs(2.0 * rp.kappa * f1), abs(2.0 * rp.kappa_dot * f4), 1e-300)
                 r1, r2 = radial.reduced_system_residual(rp, pt, a)
                 worst_red = max(worst_red, abs(r1) / sc, abs(r2) / sc)
@@ -618,16 +617,13 @@ def verify_radial():
     for z in np.geomspace(0.5, 10.0, 20):
         z = float(z)
         h = 1e-6 * z
-        d_an = radial._f1_with_derivatives(rp, z, a)[1]
+        f1, d_an, _, f4_an, _ = radial.radial_values(rp, z, a)
         d_fd = (
             radial.f1_solution(rp, radial.RadialPoint(z + h), a)
             - radial.f1_solution(rp, radial.RadialPoint(z - h), a)
         ) / (2.0 * h)
         worst = max(worst, abs(d_an - d_fd))
-        f4_an = radial.f4_from_f1(rp, radial.RadialPoint(z), a)
-        f4_fd = (
-            (rp.l.twice / 2.0 + 1.0) / z * radial.f1_solution(rp, radial.RadialPoint(z), a) - d_fd
-        ) / (2.0 * rp.kappa)
+        f4_fd = ((rp.l.twice / 2.0 + 1.0) / z * f1 - d_fd) / (2.0 * rp.kappa)
         worst = max(worst, abs(f4_an - f4_fd))
     checks.append(("analytic_vs_finite_difference", worst, 1e-7))
 

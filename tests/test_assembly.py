@@ -11,6 +11,7 @@ from poincarewave.assembly import (
     SpinConfig,
     bispinor,
     grid_eval,
+    grid_rows,
     lorentz_factor,
     translation_factor,
 )
@@ -165,7 +166,30 @@ def test_grid_evaluates_each_factor_once_per_sub_grid_point(monkeypatch, n_ang, 
     assert len(rows) == 4 * n_ang * n_x
     assert kernel[0] == 2 * (2 * n_ang)
     assert waves[0] == 2 * (2 * n_x)
-    assert bessel[0] == 12  # f1 and f4, each from 3 Bessel values per branch
+    assert bessel[0] == 6  # f1 and f4 together, from 3 Bessel values per branch
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_x_rejected(value):
+    # bispinor would return four NaNs at x1 = nan
+    for i in range(4):
+        x = [0.1, 0.2, 0.3, 0.4]
+        x[i] = value
+        with pytest.raises(DomainError, match="x must be finite"):
+            GroupPoint(tuple(x), ANG)
+
+
+def test_grid_rows_takes_every_axis():
+    cfg = config()
+    axes = {"x1": [0.0], "x2": [0.0], "x3": [0.0, 1.0], "x4": [0.5],
+            "phi": [ANG.phi], "eps": [ANG.eps], "theta": [ANG.theta], "tau": [ANG.tau]}
+    rows = list(grid_rows(cfg, axes))
+    base = GroupPoint((0.0, 0.0, 0.0, 0.5), ANG)
+    assert [(x, ang, psi) for x, ang, psi in rows] == [
+        (gp.x, gp.ang, row.as_tuple()) for gp, row in grid_eval(cfg, base, {"x3": [0.0, 1.0]})]
+    del axes["eps"]
+    with pytest.raises(DomainError, match="missing"):
+        grid_rows(cfg, axes)
 
 
 def test_grid_axis_validation():
@@ -177,6 +201,10 @@ def test_grid_axis_validation():
         grid_eval(cfg, base, {"theta": [0.0]})
     with pytest.raises(DomainError):
         grid_eval(cfg, base, {"tau": [-1.0]})
+    # a fixed angle outside the domain is refused the same way
+    with pytest.raises(DomainError, match=r"theta must lie in \(0, pi\), got 0.0"):
+        grid_eval(cfg, GroupPoint((0.0, 0.0, 0.0, 0.0), EulerAngles(theta=0.0, tau=1.0)),
+                  {"x1": [0.0, 1.0]})
     with pytest.raises(SizeCapExceeded):
         grid_eval(cfg, base, {"x1": [0.0] * 4000, "x2": [0.0] * 4000})
 

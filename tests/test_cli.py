@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, hypersph, specfun, verify
+from poincarewave import GRID_AXES, assembly, hypersph, specfun, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -90,7 +91,9 @@ def test_hypersph_grid_row_count_and_order(capsys):
 
 def test_hypersph_singular_pair_exit_2(capsys):
     pole = ("error: 2F1(-1.0, -1.0; 0.0; x): denominator pole at term 1 "
-            "reached before series termination\n")
+            "reached before series termination; Z^l_m is evaluable for every m at "
+            "l in {0, 1/2, 1}, for m = -l or m >= l - 1 at half-integer l >= 3/2, "
+            "and for no m at integer l >= 2\n")
     # at tau = 50 the k = -3/2 tau series before the pole cannot converge
     for argv in (("--l", "3/2", "--m=-1/2"), ("--l", "3/2", "--m=-1/2", "--tau", "50")):
         code, out, err = run(capsys, "hypersph", *argv)
@@ -115,6 +118,24 @@ def test_hypersph_bad_domain_exit_2(capsys):
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert why in err, err
+
+
+WAVEFUNCTION = ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5")
+
+
+@pytest.mark.parametrize("fixed, swept, message", [
+    (("--theta", "0"), ("--theta", "0:1:3"), "theta must lie in (0, pi), got 0.0"),
+    (("--theta", "4"), ("--theta", "1:4:3"), "theta must lie in (0, pi), got 4.0"),
+    (("--tau", "0"), ("--tau", "0:1:2"), "tau must be positive, got 0.0"),
+    (("--tau=-1",), ("--tau=-1:1:3",), "tau must be positive, got -1.0"),
+])
+def test_angle_domain_error_same_for_fixed_and_swept_axis(capsys, fixed, swept, message):
+    # one owner of the (theta, tau) domain: z_assoc's message either way,
+    # and the same as the hypersph command's
+    for argv in (WAVEFUNCTION + fixed, WAVEFUNCTION + swept,
+                 ("hypersph", "--l", "1/2", "--m", "1/2") + fixed,
+                 ("hypersph", "--l", "1/2", "--m", "1/2") + swept):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n"), argv
 
 
 def test_malformed_axis_spec_exit_2_naming_the_spec(capsys):
@@ -253,6 +274,29 @@ def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys)
     monkeypatch.undo()
     rows = json.loads(out)["rows"]
     assert len(rows) == 36
+    for row in rows:
+        ang = hypersph.EulerAngles(phi=row["phi"], eps=row["eps"], theta=row["theta"],
+                                   tau=row["tau"])
+        assert complex(row["re"], row["im"]) == hypersph.m_assoc(idx, ang)  # bitwise
+
+
+def test_hypersph_kernel_factor_reads_its_own_point(monkeypatch, capsys):
+    # the Z factor looks its value up by (theta, tau), so its rows do not
+    # depend on the order in which sweep asks for the points
+    sweep = assembly.sweep
+
+    def sweep_asking_backwards_first(axes, left_axes, left, right):
+        for point in reversed(list(itertools.product(*(axes[n] for n in left_axes)))):
+            left(**dict(zip(left_axes, point)))
+        return sweep(axes, left_axes, left, right)
+
+    monkeypatch.setattr(assembly, "sweep", sweep_asking_backwards_first)
+    idx = hypersph.HypersphIndex(half(3), half(1))
+    code, out, _ = run(capsys, "hypersph", "--l", "3/2", "--m", "1/2", "--theta", "0.5:2.5:3",
+                       "--tau", "0.5:2:2", "--phi", "0:1:2")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 12
     for row in rows:
         ang = hypersph.EulerAngles(phi=row["phi"], eps=row["eps"], theta=row["theta"],
                                    tau=row["tau"])

@@ -59,6 +59,14 @@ def test_open_domain_enforced():
             z_assoc(idx, theta, tau)
 
 
+@pytest.mark.parametrize("field", ["phi", "eps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_phase_angle_rejected(field, value):
+    # m_assoc would return nan at phi = nan, and 0j at eps = inf
+    with pytest.raises(DomainError, match="phi and eps must be finite"):
+        EulerAngles(**{field: value, "theta": 1.0, "tau": 1.0})
+
+
 def test_second_angle_pair_must_vanish():
     with pytest.raises(DomainError):
         EulerAngles(phi=0.1, eps=0.2, theta=1.0, tau=1.0, phi2=0.3)

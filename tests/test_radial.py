@@ -2,16 +2,16 @@ import math
 
 import pytest
 
-from poincarewave.errors import NonPositiveProduct
+from poincarewave.errors import DomainError, NonPositiveProduct
 from poincarewave.halfint import half
 from poincarewave.radial import (
     RadialParams,
     RadialPoint,
-    _f1_with_derivatives,
     argument_scale,
     f1_solution,
     f4_from_f1,
     full_system_residual,
+    radial_values,
     reduced_system_residual,
 )
 from poincarewave.specfun import bessel_j_half
@@ -32,6 +32,12 @@ class TestParamsValidation:
             params(l=half(2))
         with pytest.raises(ValueError):
             params(l=half(-1))
+
+    @pytest.mark.parametrize("field", ["kappa", "kappa_dot", "C1", "C2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(math.nan, 1.0)])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            params(**{field: value})
 
     def test_nonpositive_z_rejected(self):
         with pytest.raises(ValueError):
@@ -69,6 +75,8 @@ class TestResolveScale:
             argument_scale(1.0, -1.0)
         with pytest.raises(NonPositiveProduct):
             argument_scale(1.0, 1.0j)
+        with pytest.raises(NonPositiveProduct):
+            argument_scale(math.nan, 1.0)
 
 
 class TestClosedForms:
@@ -97,7 +105,7 @@ class TestClosedForms:
         fd = (
             f1_solution(rp, RadialPoint(z + h), a) - f1_solution(rp, RadialPoint(z - h), a)
         ) / (2 * h)
-        assert _f1_with_derivatives(rp, z, a)[1] == pytest.approx(fd, rel=1e-8)
+        assert radial_values(rp, z, a)[1] == pytest.approx(fd, rel=1e-8)
 
 
 class TestResiduals:
@@ -164,3 +172,55 @@ class TestResiduals:
         shifted = r1 + (rp.l_dot.twice / 2.0) / pt.z * delta
         assert abs(shifted) > 1e-3
         assert abs(f1) > 0 and abs(f4) > 0
+
+
+def _hex(v: complex) -> tuple[str, str]:
+    return v.real.hex(), v.imag.hex()
+
+
+# f1, f4 and both residuals, recorded before f1 and f4 came from one Bessel
+# evaluation: (2l, kappa, kappa_dot, C1, C2, z) -> f1, f4, reduced pair,
+# full system under the sign pair '-+'
+PINNED = [
+    ((1, 0.5, 0.5, 1.0, 0.0, 1.0),
+     ("0x1.57c14f27a1dc5p-1", "0x0.0p+0"), ("0x1.ec214602ad3c8p-3", "0x0.0p+0"),
+     [("-0x1.0000000000000p-53", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0")],
+     [("-0x1.b971fb4ded1a5p+0", "0x0.0p+0"), ("0x1.b971fb4ded1a5p+0", "0x0.0p+0"),
+      ("0x1.b971fb4ded1a6p+0", "0x0.0p+0"), ("0x1.b971fb4ded1a6p+0", "0x0.0p+0")]),
+    ((3, 0.7, 0.7, 0.8 + 0.1j, -0.4 + 0.6j, 2.3),
+     ("0x1.c8a0d3a3dd603p-1", "0x1.e3d8a78755bf2p-2"),
+     ("0x1.7dd7e4f319abfp+0", "-0x1.9eb1b18e67198p-2"),
+     [("0x0.0p+0", "0x1.0000000000000p-53"), ("0x0.0p+0", "0x0.0p+0")],
+     [("0x1.8cbbcb1ca32f0p-3", "-0x1.037f4211a9d9bp+2"),
+      ("-0x1.8cbbcb1ca32f0p-3", "0x1.037f4211a9d9bp+2"),
+      ("-0x1.500bf1de58d66p+2", "0x1.f4a762112aab2p+1"),
+      ("-0x1.500bf1de58d66p+2", "0x1.f4a762112aab2p+1")]),
+    ((5, 1.3, 0.4, 0.3 - 0.2j, 0.8 + 0.5j, 0.6),
+     ("0x1.5debdc65f3434p+1", "0x1.b26342fc3852bp+0"),
+     ("0x1.078cba84fdc64p+3", "0x1.49628609a51b7p+2"),
+     [("-0x1.3aeddff55aef5p+2", "-0x1.86f2ef7c9917ap+1"),
+      ("-0x1.da63b62295981p+3", "-0x1.2872456f1498cp+3")],
+     [("0x1.24420cee9b5f0p+7", "0x1.6d93ced475333p+6"),
+      ("-0x1.24420cee9b5f0p+7", "-0x1.6d93ced475333p+6"),
+      ("-0x1.544065ee51378p+0", "-0x1.0f83688524748p+0"),
+      ("-0x1.544065ee51378p+0", "-0x1.0f83688524748p+0")]),
+    ((1, 0.5j, -0.5j, 0.0, 1.0, 11.0),
+     ("0x1.7fc47641787a7p-7", "0x0.0p+0"), ("0x0.0p+0", "0x1.5295b004eec22p+1"),
+     [("0x0.0p+0", "-0x1.7fc47641787a0p-6"), ("0x1.5295b004eec22p+2", "0x0.0p+0")],
+     [("0x0.0p+0", "0x1.ec7ca2efe6ebdp-1"), ("0x0.0p+0", "-0x1.ec7ca2efe6ebdp-1"),
+      ("0x1.171a848cb4800p-8", "0x0.0p+0"), ("0x1.171a848cb4800p-8", "0x0.0p+0")]),
+]
+
+
+@pytest.mark.parametrize("point, f1, f4, reduced, full", PINNED)
+def test_radial_values_pinned_bitwise(point, f1, f4, reduced, full):
+    lt, kappa, kappa_dot, C1, C2, z = point
+    rp = params(kappa=kappa, kappa_dot=kappa_dot, C1=C1, C2=C2, l=half(lt))
+    a = argument_scale(kappa, kappa_dot)
+    pt = RadialPoint(z)
+    assert _hex(f1_solution(rp, pt, a)) == f1
+    assert _hex(f4_from_f1(rp, pt, a)) == f4
+    assert [_hex(v) for v in reduced_system_residual(rp, pt, a)] == reduced
+    assert [_hex(v) for v in full_system_residual(rp, pt, a, "-+")] == full
+    values = radial_values(rp, z, a)
+    assert (_hex(values[0]), _hex(values[3])) == (f1, f4)
