@@ -6,7 +6,10 @@ over grids) and ``verify`` (property suites with JSON reports).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 JSON serializes every complex value as {"re": ..., "im": ...}; CSV uses
-17-significant-digit decimals so emitted values round-trip exactly.
+17-significant-digit decimals so emitted values round-trip exactly.  Each
+row is written with one format operation, and the text is byte-identical to
+``json.dumps(doc, indent=2)`` or to ``format(v, ".17g")`` per cell.  The
+parser is built once per process, on the first ``main`` call, not at import.
 
 The CLI runs on the standard library.  ``verify``, the one module that
 imports numpy, is loaded only by the ``verify`` command and by ``spinor``
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -25,10 +29,6 @@ import sys
 from . import assembly, dirac, hypersph, radial
 from .errors import DomainError, SizeCapExceeded
 from .halfint import HalfInt
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _c(v: complex) -> dict:
@@ -90,26 +90,30 @@ def _emit(doc: dict, fmt: str, out_path: str | None, fields) -> None:
     """Write ``doc`` to ``out_path``, or to stdout, one row at a time.
 
     ``doc["rows"]`` is an iterable of tuples of numbers in ``fields``
-    order.  JSON writes the whole document, CSV only its rows.
+    order.  JSON writes the whole document, CSV only its rows.  Each row is
+    one ``%`` format of a template made once per command.
     """
     rows = doc["rows"]
     with _output(out_path) as fh:
         if fmt == "csv":
+            # %.17g prints a float as format(v, ".17g") and a small int as str
             fh.write(",".join(fields) + "\n")
+            line = ",".join(["%.17g"] * len(fields)) + "\n"
             for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+                fh.write(line % row)
         else:
             # The text of json.dumps(doc, indent=2): its head and tail come
-            # from a one-row placeholder, each row's numbers from json.dumps
-            # of the row, set out as the indented encoder sets out a dict
-            # two levels deep.
+            # from a one-row placeholder, and each row is set out as the
+            # indented encoder sets out a dict two levels deep.  %s prints a
+            # finite float, an np.float64 among them, and an int as
+            # json.dumps does.
             text = json.dumps({**doc, "rows": [None]}, indent=2) + "\n"
             head, _, tail = text.partition("null\n  ]")
             item = "{\n" + ",\n".join(f"      {json.dumps(f)}: %s" for f in fields) + "\n    }"
             fh.write(head)
             sep = ""
             for row in rows:
-                fh.write(sep + item % tuple(json.dumps(row)[1:-1].split(", ")))
+                fh.write(sep + item % row)
                 sep = ",\n    "
             fh.write("\n  ]" + tail)
 
@@ -255,7 +259,10 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared after it; a
+    parse keeps no state on it."""
     ap = argparse.ArgumentParser(prog="poincarewave")
     sub = ap.add_subparsers(dest="command", required=True)
 

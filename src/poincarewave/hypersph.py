@@ -269,11 +269,18 @@ def _vanishing_tanh(idx: HypersphIndex, tau: float) -> OverflowError:
 
 def phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:
     """The phase e^{-m(eps + i phi)} of ``m_assoc``, or e^{-m(eps - i phi)}
-    of ``m_assoc_dotted`` when ``dotted``."""
+    of ``m_assoc_dotted`` when ``dotted``; OverflowError naming m, phi and
+    eps when it leaves the double range."""
     mval = m.twice / 2.0
-    if dotted:
-        return cmath.exp(-mval * (ang.eps - 1j * ang.phi))
-    return cmath.exp(-mval * (ang.eps + 1j * ang.phi))
+    arg = ang.eps - 1j * ang.phi if dotted else ang.eps + 1j * ang.phi
+    try:
+        v = cmath.exp(-mval * arg)
+    except (OverflowError, ValueError):  # e^{-m eps}, or m phi, past the double range
+        v = cmath.inf
+    if not cmath.isfinite(v):
+        raise OverflowError(f"e^(-m(eps {'-' if dotted else '+'} i phi)) at m={m}, "
+                            f"phi={ang.phi}, eps={ang.eps} overflows")
+    return v
 
 
 def m_assoc(idx: HypersphIndex, ang: EulerAngles) -> complex:

@@ -69,7 +69,8 @@ def radial_values(rp: RadialParams, z: float, a: float):
     d/dz [a z J_nu(az)] = a J_nu + a^2 z J_nu', with J_nu' from the
     two-sided identity and J_nu'' from the Bessel equation itself (no
     finite differences).  f4 = (1 / 2 kappa) ((l+1)/z f1 - f1') and its
-    derivative follow from these three.
+    derivative follow from these three.  DomainError when (a z)^2, which
+    J_nu'' divides by, underflows to 0.
     """
     l = rp.l
     f1 = d1 = d2 = 0.0 + 0.0j
@@ -77,6 +78,8 @@ def radial_values(rp: RadialParams, z: float, a: float):
         if C == 0:
             continue
         az = a * z
+        if az * az == 0.0:  # the J'' term below divides by it
+            raise DomainError(f"(a*z)^2 underflows to 0 at z={z}, a*z={az}")
         jm = specfun.bessel_j_half(nu - _ONE, az)
         j0 = specfun.bessel_j_half(nu, az)
         jp = specfun.bessel_j_half(nu + _ONE, az)
@@ -108,6 +111,9 @@ def f4_from_f1(rp: RadialParams, pt: RadialPoint, a: float) -> complex:
 
 def _positive_product(kappa: complex, kappa_dot: complex) -> complex:
     prod = complex(kappa) * complex(kappa_dot)
+    if not cmath.isfinite(prod):
+        raise NonPositiveProduct(
+            f"kappa * kappa_dot = {prod} is not finite, kappa={kappa}, kappa_dot={kappa_dot}")
     if abs(prod.imag) > 1e-14 * abs(prod) or not prod.real > 0.0:
         raise NonPositiveProduct(
             f"kappa * kappa_dot must be real and positive, got {prod}"

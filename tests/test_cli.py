@@ -1,5 +1,7 @@
+import argparse
 import collections
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, assembly, hypersph, specfun, verify
+from poincarewave import GRID_AXES, assembly, cli, hypersph, specfun, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -571,3 +573,117 @@ def test_spinor_and_verify_exit_0_or_1_with_finite_json_or_2_with_one_error_line
         doc = _finite_json(out.getvalue())
         if argv[0] == "verify":
             assert doc["report"]["tolerance"] >= 0.0, argv
+
+
+# A fixed corpus of commands, each run in both formats, to stdout and with
+# --out.  Its digest was recorded before rows were written with one format
+# operation each and the parser was built once per process, so it pins the
+# bytes and exit codes of the CLI across that change.
+_WF = ("wavefunction", "--m", "1", "--pz", "0.75", "--l", "1/2", "--kappa", "0.5",
+       "--kappa-dot", "0.5")
+_CORPUS = (
+    *(("spinor", "--kind", kind, "--r", r, "--px", "0.3", "--pz", "0.75", "--m", "1")
+      for kind in ("u", "v") for r in ("1", "2")),
+    ("spinor", "--kind", "v", "--r", "2", "--m", "1", "--off-shell", "--E", "1.25",
+     "--py", "0.5"),
+    ("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "0.5:2.5:3", "--tau", "0.3:2:3",
+     "--phi", "0:1:2", "--eps", "0:1e-300:3"),
+    ("hypersph", "--l", "1/2", "--m", "-1/2", "--dotted", "--theta", "1e-300:3:2",
+     "--eps", "-0.5"),
+    ("hypersph", "--l", "7/2", "--m", "5/2", "--theta", "0.5:2.5:2", "--tau", "0.5:2:2",
+     "--phi", "-1:1:2"),
+    ("hypersph", "--l", "1/2", "--m", "1/2", "--tau", "700"),
+    (*_WF, "--theta", "0.5:2.5:4", "--tau", "0.3:3:3", "--x1", "0.25"),
+    (*_WF, "--x1", "0:1:3", "--x4", "-1:1:3", "--phi", "0.7", "--eps", "-0.2"),
+    (*_WF, "--kappa", "0.5,0.1", "--kappa-dot", "0.5,-0.1", "--c1",
+     "0.6,0.2", "--c2", "0.1", "--sign-pair", "-+", "--r", "2", "--x2", "-1e-310:1:2",
+     "--tau", "1e-3:20:2"),
+    (*_WF, "--theta", "0"),
+)
+_CORPUS_SHA256 = "39714c713094415f438ec7c30f5284bb974f674183a6cae904415e5aff34c8b1"
+
+
+def test_corpus_output_digest(tmp_path, capsys):
+    path = tmp_path / "out"
+    digest = hashlib.sha256()
+    for argv in _CORPUS:
+        for fmt in ("json", "csv"):
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            digest.update(f"{argv} {fmt} {code}\n{out}".encode())
+            code, out, _ = run(capsys, *argv, "--format", fmt, "--out", str(path))
+            assert out == ""
+            text = path.read_text() if path.exists() else None
+            digest.update(f"{code}\n{text}".encode())
+            path.unlink(missing_ok=True)
+    assert digest.hexdigest() == _CORPUS_SHA256
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emit_rows_match_the_per_cell_formats(tmp_path, fmt):
+    import numpy as np
+
+    fields = ("i", "a", "b", "c")
+    rows = [(1, -0.0, 5e-324, 1e-310), (2, 1e308, np.float64(1.5), np.float64(-2.5e-320)),
+            (3, 0.1, -1e16, np.float64(1 / 3))]
+    doc = {"command": "t", "inputs": {"x": 0.5}, "rows": iter(rows), "tail": [1e-5]}
+    path = tmp_path / "out"
+    cli._emit(doc, fmt, str(path), fields)
+    if fmt == "json":
+        want = json.dumps({**doc, "rows": [dict(zip(fields, row)) for row in rows]},
+                          indent=2) + "\n"
+    else:
+        want = "".join(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
+                                for v in row) + "\n" for row in [fields, *rows])
+    assert path.read_text() == want
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    good = (*_WF, "--theta", "0.5:2.5:3", "--format", "csv")
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    first = run(capsys, *good)
+    assert first[0] == 0 and built
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["wavefunction", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *_WF, "--tau", "0")[:2] == (2, "")
+    assert run(capsys, *good) == first
+    assert run(capsys, *good) == first
+    assert built == []
+
+
+def test_import_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import argparse; "
+            "init = argparse.ArgumentParser.__init__; "
+            "argparse.ArgumentParser.__init__ = lambda *a, **k: sys.exit('parser built'); "
+            "import poincarewave, poincarewave.cli; "
+            "argparse.ArgumentParser.__init__ = init; "
+            "assert poincarewave.cli.main(['hypersph', '--l', '1/2', '--m', '1/2']) == 0")
+    subprocess.run([sys.executable, "-c", code, str(src)], check=True, timeout=60,
+                   capture_output=True)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("hypersph", "--l", "1/2", "--m", "1/2", "--eps=-1e6"), "eps=-1000000.0"),
+    (("hypersph", "--l", "1/2", "--m", "1/2", "--dotted", "--eps", "0:-1e6:3"), "eps=-500000.0"),
+    ((*_WF, "--eps", "1e6"), "eps=1000000.0"),
+    ((*_WF, "--eps", "0:1e6:3"), "eps=500000.0"),
+    (("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "1e200", "--kappa-dot", "1e200"),
+     "kappa=(1e+200+0j), kappa_dot=(1e+200+0j)"),
+    ((*_WF, "--radius", "1e-320"), "z=1e-320, a*z=1e-320"),
+])
+def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err

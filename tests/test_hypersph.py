@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ def test_non_finite_phase_angle_rejected(field, value):
     # m_assoc would return nan at phi = nan, and 0j at eps = inf
     with pytest.raises(DomainError, match="phi and eps must be finite"):
         EulerAngles(**{field: value, "theta": 1.0, "tau": 1.0})
+
+
+@pytest.mark.parametrize("fn, sign", [(m_assoc, "+"), (m_assoc_dotted, "-")])
+def test_phase_overflow_names_the_point(fn, sign):
+    ang = EulerAngles(phi=0.5, eps=-1e6, theta=1.0, tau=1.0)
+    with pytest.raises(OverflowError, match=re.escape(
+            f"e^(-m(eps {sign} i phi)) at m=1/2, phi=0.5, eps=-1000000.0 overflows")):
+        fn(HypersphIndex(half(1), half(1)), ang)
+    # m * phi past the double range makes the exponent's imaginary part infinite
+    ang = EulerAngles(phi=1.5e308, eps=0.0, theta=1.0, tau=1.0)
+    with pytest.raises(OverflowError, match="phi=1.5e\\+308"):
+        fn(HypersphIndex(half(3), half(-3)), ang)
 
 
 def test_second_angle_pair_must_vanish():

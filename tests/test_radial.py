@@ -78,6 +78,12 @@ class TestResolveScale:
         with pytest.raises(NonPositiveProduct):
             argument_scale(math.nan, 1.0)
 
+    @pytest.mark.parametrize("kappa, kappa_dot", [(1e200, 1e200), (1e200j, -1e200j)])
+    def test_closed_form_rejects_overflowing_product(self, kappa, kappa_dot):
+        # a = inf would otherwise reach bessel_j_half
+        with pytest.raises(NonPositiveProduct, match=r"is not finite, kappa=.*, kappa_dot="):
+            argument_scale(kappa, kappa_dot)
+
 
 class TestClosedForms:
     def test_f1_reduces_to_sine_seed(self):
@@ -224,3 +230,19 @@ def test_radial_values_pinned_bitwise(point, f1, f4, reduced, full):
     assert [_hex(v) for v in full_system_residual(rp, pt, a, "-+")] == full
     values = radial_values(rp, z, a)
     assert (_hex(values[0]), _hex(values[3])) == (f1, f4)
+
+
+# f1 and f4 where (a z)^2 is a subnormal, as the code gave them before the
+# underflow to 0 was refused: refusing it leaves them bitwise as they were.
+@pytest.mark.parametrize("C1, C2, f1, f4", [
+    (1.0, 0.0, ("0x1.547fe3c2b78afp-798", "0x0.0p+0"), ("0x0.0p+0", "0x0.0p+0")),
+    (0.0, 1.0, ("0x1.e4620a90961d8p-267", "0x0.0p+0"), ("0x1.588884e3aa42ap+265", "0x0.0p+0")),
+    (0.6 + 0.2j, 0.1, ("0x1.8381a20d44e46p-270", "0x1.10664fcef93bfp-800"),
+     ("0x1.13a06a4fbb686p+262", "-0x1.0000000000000p-320")),
+])
+def test_vanishing_argument_refused_before_the_division(C1, C2, f1, f4):
+    rp = params(C1=C1, C2=C2)
+    values = radial_values(rp, 1e-160, 1.0)
+    assert (_hex(values[0]), _hex(values[3])) == (f1, f4)
+    with pytest.raises(DomainError, match=r"\(a\*z\)\^2 underflows to 0 at z=1.5e-162, a\*z=1.5e-162"):
+        radial_values(rp, 1.5e-162, 1.0)
