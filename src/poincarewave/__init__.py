@@ -26,6 +26,8 @@ from .errors import (
     NonPositiveArgument,
     NonPositiveProduct,
     OffShellError,
+    OrderNotEvaluable,
+    PhaseOverflow,
     PoleInDenominator,
     SizeCapExceeded,
     TermCapExceeded,
@@ -37,7 +39,6 @@ from .hypersph import (
     index_is_evaluable,
     m_assoc,
     m_assoc_dotted,
-    m_assoc_pair,
     sum_index_values,
     z_assoc,
     z_grid,
@@ -92,6 +93,8 @@ __all__ = [
     "NonPositiveArgument",
     "NonPositiveProduct",
     "OffShellError",
+    "OrderNotEvaluable",
+    "PhaseOverflow",
     "PoleInDenominator",
     "SizeCapExceeded",
     "TermCapExceeded",
@@ -103,7 +106,6 @@ __all__ = [
     "index_is_evaluable",
     "m_assoc",
     "m_assoc_dotted",
-    "m_assoc_pair",
     "sum_index_values",
     "z_assoc",
     "z_grid",

@@ -27,7 +27,7 @@ import math
 import sys
 
 from . import assembly, dirac, hypersph, radial
-from .errors import DomainError, SizeCapExceeded
+from .errors import DomainError, OrderNotEvaluable, SizeCapExceeded
 from .halfint import HalfInt
 
 
@@ -35,15 +35,17 @@ def _c(v: complex) -> dict:
     return {"re": v.real, "im": v.imag}
 
 
-def _axes(specs: list[str]) -> list[list[float]]:
-    """Parse each 'value' or 'lo:hi:n' spec into a list of finite floats.
+def _axes(specs: list[str]) -> list:
+    """Parse each 'value' or 'lo:hi:n' spec into an axis of finite floats:
+    a list of the one value, or an ``assembly.Linspace`` of n points, which
+    computes each value when it is read and so takes constant memory.
 
     The grid the axes span is checked against ``assembly.GRID_SIZE_CAP``
-    before any axis is built.  An axis that overflows, such as a span past
-    the double range, has a value that is not finite and is refused.
+    before any value is read.  An axis that overflows, such as a span past
+    the double range, has a value that is not finite and is refused; the
+    values of a Linspace lie between its ends, so the ends decide.
     """
-    parsed = []
-    total = 1
+    axes = []
     for spec in specs:
         try:
             if ":" in spec:
@@ -55,30 +57,14 @@ def _axes(specs: list[str]) -> list[list[float]]:
             raise DomainError(
                 f"grid axis {spec!r} is neither 'value' nor 'lo:hi:n' with an integer n"
             ) from None
-        if n is not None:
-            if n < 1:
-                raise DomainError(f"grid axis needs at least one point, got {n}")
-            total *= n
-        parsed.append((spec, lo, hi, n))
+        axes.append((spec, [lo] if n is None else assembly.Linspace(lo, hi, n)))
+    total = math.prod(len(axis) for _, axis in axes)
     if total > assembly.GRID_SIZE_CAP:
         raise SizeCapExceeded(f"grid of {total} points exceeds cap {assembly.GRID_SIZE_CAP}")
-    out = []
-    for spec, lo, hi, n in parsed:
-        values = [lo] if n is None else _linspace(lo, hi, n)
-        if not all(math.isfinite(v) for v in values):
+    for spec, axis in axes:
+        if not (math.isfinite(axis[0]) and math.isfinite(axis[-1])):
             raise DomainError(f"grid axis {spec!r} has a non-finite value")
-        out.append(values)
-    return out
-
-
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    """``np.linspace(lo, hi, n)`` in numpy's own arithmetic, so bitwise its
-    values: i*step + lo with step = span/(n-1), or (i/(n-1))*span + lo when
-    the step underflows to 0, then hi; a single point is 0*span + lo."""
-    span = hi - lo
-    step = span / (n - 1) if n > 1 else 0.0
-    head = [i * step + lo if step != 0 else (i / (n - 1)) * span + lo for i in range(n - 1)]
-    return head + [hi if n > 1 else 0.0 * span + lo]
+    return [axis for _, axis in axes]
 
 
 def _output(path: str | None):
@@ -200,13 +186,16 @@ def cmd_wavefunction(args) -> int:
         l=l,
         l_dot=HalfInt.from_value(args.l_dot) if args.l_dot else l,
     )
-    cfg = assembly.SpinConfig(
-        p=dirac.FourMomentum.on_shell(args.px, args.py, args.pz, args.m),
-        r=args.r,
-        rp=rp,
-        radius=args.radius,
-        sign_pair=args.sign_pair,
-    )
+    try:
+        cfg = assembly.SpinConfig(
+            p=dirac.FourMomentum.on_shell(args.px, args.py, args.pz, args.m),
+            r=args.r,
+            rp=rp,
+            radius=args.radius,
+            sign_pair=args.sign_pair,
+        )
+    except OrderNotEvaluable as exc:
+        raise DomainError(f"--{exc.name.replace('_', '-')}: {exc}") from None
     specs = [getattr(args, name) for name in assembly.GRID_AXES]
     rows = assembly.grid_rows(cfg, dict(zip(assembly.GRID_AXES, _axes(specs))))
     doc = {

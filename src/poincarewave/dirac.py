@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .errors import OffShellError
+from .errors import OffShellError, PhaseOverflow
 
 ON_SHELL_RTOL = 1e-12
 
@@ -137,9 +137,31 @@ def v_amplitude(r: int, p: FourMomentum) -> DiracAmplitude:
     return DiracAmplitude(_components("v", r, p), "v", r)
 
 
+def _phase_overflow(p: FourMomentum, where: str) -> PhaseOverflow:
+    return PhaseOverflow(f"the plane-wave phase p.x overflows at "
+                         f"(E, px, py, pz) = {(p.E, p.px, p.py, p.pz)}, {where}")
+
+
+def check_phase_bound(p: FourMomentum, x_abs: Sequence[float]) -> None:
+    """PhaseOverflow, naming p and ``x_abs``, unless the bound
+    |E| x_abs[3] + |px| x_abs[0] + |py| x_abs[1] + |pz| x_abs[2] is finite.
+
+    The bound is summed in the order ``plane_wave`` sums p.x, and rounding
+    is monotone, so when it is finite so is p.x at every x with
+    |x[i]| <= x_abs[i].
+    """
+    bound = (abs(p.E) * x_abs[3] + abs(p.px) * x_abs[0] + abs(p.py) * x_abs[1]
+             + abs(p.pz) * x_abs[2])
+    if not math.isfinite(bound):
+        raise _phase_overflow(p, f"|x| up to {tuple(x_abs)}")
+
+
 def plane_wave(x: Sequence[float], p: FourMomentum, sign: Literal["+", "-"]) -> complex:
-    """e^{-+ i (E x4 - px x1 - py x2 - pz x3)} for sign '+' / '-'."""
+    """e^{-+ i (E x4 - px x1 - py x2 - pz x3)} for sign '+' / '-';
+    PhaseOverflow, naming p and x, when the phase is not finite."""
     phase = p.E * x[3] - p.px * x[0] - p.py * x[1] - p.pz * x[2]
+    if not math.isfinite(phase):
+        raise _phase_overflow(p, f"x = {tuple(x)}")
     if sign == "+":
         return cmath.exp(-1j * phase)
     if sign == "-":

@@ -33,8 +33,20 @@ class NonPositiveProduct(DomainError):
     """The product of the two radial mass parameters must be real and positive."""
 
 
+class OrderNotEvaluable(DomainError):
+    """The assembled wavefunction is evaluable at l = l_dot = 1/2 only."""
+
+    def __init__(self, name: str, message: str):
+        super().__init__(message)
+        self.name = name
+
+
 class OffShellError(ValueError):
     """Four-momentum does not satisfy the mass-shell relation."""
+
+
+class PhaseOverflow(OverflowError):
+    """A plane-wave phase p.x leaves the double range."""
 
 
 class SizeCapExceeded(ValueError):

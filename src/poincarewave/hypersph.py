@@ -293,15 +293,3 @@ def m_assoc_dotted(idx: HypersphIndex, ang: EulerAngles) -> complex:
     e^{-m(eps - i phi)} Z^l_m(theta, tau)."""
     return phase(idx.m, ang, True) * z_assoc(idx, ang.theta, ang.tau)
 
-
-def m_assoc_pair(
-    idx: HypersphIndex, idx_dot: HypersphIndex, ang: EulerAngles
-) -> tuple[complex, complex]:
-    """``m_assoc(idx, ang)`` and ``m_assoc_dotted(idx_dot, ang)``, bitwise.
-
-    The two families share the kernel and differ only in phase, so when
-    ``idx_dot == idx`` the kernel is evaluated once.
-    """
-    z = z_assoc(idx, ang.theta, ang.tau)
-    z_dot = z if idx_dot == idx else z_assoc(idx_dot, ang.theta, ang.tau)
-    return phase(idx.m, ang, False) * z, phase(idx_dot.m, ang, True) * z_dot

@@ -17,6 +17,7 @@ The residual functions here are the field equations that suite checks.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Literal
 
@@ -70,7 +71,7 @@ def radial_values(rp: RadialParams, z: float, a: float):
     two-sided identity and J_nu'' from the Bessel equation itself (no
     finite differences).  f4 = (1 / 2 kappa) ((l+1)/z f1 - f1') and its
     derivative follow from these three.  DomainError when (a z)^2, which
-    J_nu'' divides by, underflows to 0.
+    J_nu'' divides by, underflows to 0, or when a z is not finite.
     """
     l = rp.l
     f1 = d1 = d2 = 0.0 + 0.0j
@@ -80,6 +81,8 @@ def radial_values(rp: RadialParams, z: float, a: float):
         az = a * z
         if az * az == 0.0:  # the J'' term below divides by it
             raise DomainError(f"(a*z)^2 underflows to 0 at z={z}, a*z={az}")
+        if not math.isfinite(az):  # bessel_j_half takes finite arguments only
+            raise DomainError(f"a*z is not finite at z={z}, a*z={az}")
         jm = specfun.bessel_j_half(nu - _ONE, az)
         j0 = specfun.bessel_j_half(nu, az)
         jp = specfun.bessel_j_half(nu + _ONE, az)

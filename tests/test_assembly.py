@@ -1,22 +1,29 @@
 import cmath
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poincarewave import dirac, hypersph, specfun
 from poincarewave.assembly import (
+    GRID_AXES,
     GroupPoint,
+    Linspace,
     SpinConfig,
+    _max_abs,
     bispinor,
     grid_eval,
     grid_rows,
     lorentz_factor,
+    sweep,
     translation_factor,
 )
 from poincarewave.dirac import FourMomentum
-from poincarewave.errors import DomainError, PoleInDenominator, SizeCapExceeded
+from poincarewave.errors import DomainError, OrderNotEvaluable, PhaseOverflow, SizeCapExceeded
 from poincarewave.halfint import half
 from poincarewave.hypersph import EulerAngles
 from poincarewave.radial import RadialParams
@@ -100,11 +107,16 @@ def test_translation_moves_only_phase():
         assert abs(va) == pytest.approx(abs(vb), abs=1e-14)
 
 
-def test_half_integer_l_above_one_half_hits_pole():
-    rp = RadialParams(kappa=0.5, kappa_dot=0.5, C1=1.0, C2=0.0, l=half(3), l_dot=half(3))
-    cfg = SpinConfig(p=FourMomentum.on_shell(0, 0, 0, 1.0), r=1, rp=rp, radius=1.0)
-    with pytest.raises(PoleInDenominator):
-        lorentz_factor(cfg, ANG)
+def test_half_integer_l_above_one_half_refused_by_config():
+    # (l, -1/2) hits a pole of the kernel's sum at half-integer l >= 3/2, so
+    # the config refuses the order at once, naming it, before any evaluation
+    assert not hypersph.index_is_evaluable(hypersph.HypersphIndex(half(3), half(-1)))
+    for l, l_dot, name in ((3, 3, "l"), (1, 3, "l_dot"), (5, 1, "l")):
+        rp = RadialParams(kappa=0.5, kappa_dot=0.5, C1=1.0, C2=0.0, l=half(l), l_dot=half(l_dot))
+        with pytest.raises(OrderNotEvaluable, match=f"^{name} must be 1/2") as exc:
+            SpinConfig(p=FourMomentum.on_shell(0, 0, 0, 1.0), r=1, rp=rp, radius=1.0)
+        assert exc.value.name == name
+        assert isinstance(exc.value, DomainError)
 
 
 def test_grid_ordering_lexicographic():
@@ -218,3 +230,122 @@ def test_plane_wave_enters_with_opposite_signs():
     rot_v = b[2] / a[2]
     assert rot_u == pytest.approx(cmath.exp(-1.25j), rel=1e-12)
     assert rot_v == pytest.approx(cmath.exp(1.25j), rel=1e-12)
+
+
+def test_streamed_grid_rows_match_pointwise_calls(monkeypatch):
+    # x axes first, as in GRID_AXES: the translation factor is streamed; the
+    # rows equal pointwise calls bitwise, and equal the tabulated rows of
+    # the same grid in an interleaved order.  phi and eps take both signed
+    # zeros, whose phases differ in the sign of a zero.
+    cfg = config(C1=0.6 + 0.2j, C2=-0.3 + 0.1j, r=2)
+    axes = {"x1": Linspace(-1.0, 2.0, 3), "x2": [0.2], "x3": [-0.0, 0.0], "x4": [0.4, -1.5],
+            "phi": [0.0, -0.0, 0.3], "eps": [-0.0, 0.0], "theta": [0.5, 2.5], "tau": [0.4, 2.0]}
+    kernel = _counted(monkeypatch, hypersph, "z_assoc")
+    phase = _counted(monkeypatch, hypersph, "phase")
+    rows = list(grid_rows(cfg, axes))
+    assert len(rows) == 3 * 2 * 2 * 3 * 2 * 2 * 2
+    # two kernels per (theta, tau) point, four phases per (phi, eps) point
+    assert (kernel[0], phase[0]) == (2 * 2 * 2, 4 * 3 * 2)
+    bits = lambda vs: [struct.pack("2d", v.real, v.imag) for v in vs]
+    for (x, ang, psi), point in zip(rows, itertools.product(*axes.values())):
+        assert bits(x + (ang.phi, ang.eps, ang.theta, ang.tau)) == bits(point)
+        assert bits(psi) == bits(bispinor(cfg, GroupPoint(x, ang)).as_tuple())
+    order = ("theta", "x4", "phi", "x1", "tau", "eps", "x3", "x2")
+    interleaved = list(grid_rows(cfg, {name: axes[name] for name in order}))
+    assert sorted(map(repr, interleaved)) == sorted(map(repr, rows))
+
+
+def test_streamed_factor_is_evaluated_as_the_rows_are_read():
+    calls = []
+
+    def left(a, b):
+        calls.append((a, b))
+        return (a, b), (complex(a), complex(b))
+
+    def right(c):
+        return c, (complex(c), 1j)
+
+    axes = {"a": Linspace(0.0, 1.0, 4), "b": [1.0, 2.0], "c": [3.0, 4.0, 5.0]}
+    rows = sweep(axes, ("a", "b"), left, right, left_bound=[1.0, 2.0])
+    assert calls == []
+    first = next(rows)
+    assert calls == [(0.0, 1.0)] and first == ((0.0, 1.0), 3.0, (0j, 1j))
+    rest = list(rows)
+    assert len(rest) == 4 * 2 * 3 - 1
+    assert calls == list(itertools.product(axes["a"], axes["b"]))
+    # with the right axes first the left factor is tabulated before return
+    calls.clear()
+    sweep({"c": axes["c"], "a": axes["a"], "b": axes["b"]}, ("a", "b"), left, right,
+          left_bound=[1.0, 2.0])
+    assert len(calls) == 8
+
+
+def test_phase_bound_raised_before_any_x_is_evaluated(monkeypatch):
+    cfg = SpinConfig(p=FourMomentum.on_shell(1e150, 0.0, 0.0, 1.0), r=1,
+                     rp=config().rp, radius=1.0)
+    waves = _counted(monkeypatch, dirac, "plane_wave")
+    axes = {name: [0.0] for name in GRID_AXES} | {"theta": [1.0], "tau": [1.0]}
+    for x1 in ([1e200], Linspace(-1e200, 1e10, 3), Linspace(-1e200, 1.0, 1)):
+        with pytest.raises(PhaseOverflow, match=r"\(E, px, py, pz\) = \(1e\+150, 1e\+150, "
+                           r"0.0, 0.0\), \|x\| up to \(1e\+200, 0.0, 0.0, 0.0\)"):
+            grid_rows(cfg, {**axes, "x1": x1})
+    assert waves[0] == 0
+    # the bound of the largest |x| on the axis, not of a value
+    assert len(list(grid_rows(cfg, {**axes, "x1": [1e150, -1e157]}))) == 2
+
+
+@pytest.mark.parametrize("fn", [translation_factor, bispinor])
+def test_non_finite_phase_raises_naming_p_and_x(fn):
+    cfg = SpinConfig(p=FourMomentum.on_shell(1e150, 0.0, 0.0, 1.0), r=1,
+                     rp=config().rp, radius=1.0)
+    with pytest.raises(PhaseOverflow, match=r"p\.x overflows at \(E, px, py, pz\) = "
+                       r"\(1e\+150, 1e\+150, 0.0, 0.0\), x = \(1e\+200, 0.0, 0.0, 0.0\)"):
+        fn(cfg, GroupPoint((1e200, 0.0, 0.0, 0.0), ANG))
+
+
+def _listed(lo, hi, n):
+    # the list the CLI built before its axes were lazy, bitwise np.linspace
+    span = hi - lo
+    step = span / (n - 1) if n > 1 else 0.0
+    head = [i * step + lo if step != 0 else (i / (n - 1)) * span + lo for i in range(n - 1)]
+    return head + [hi if n > 1 else 0.0 * span + lo]
+
+
+def _bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+@pytest.mark.parametrize("lo, hi, n", [
+    (0.3, 7.0, 1), (-0.0, 5.0, 1), (-0.0, 0.0, 1),  # one point is 0*span + lo
+    (0.0, 5e-324, 3), (0.0, 9 * 5e-324, 7),  # a step that underflows, or is subnormal
+    (1.0, 1.0 + 2**-52, 5),  # values that round onto an end
+    (-0.0, 0.0, 4), (-0.0, 1.0, 3), (1.0, -0.0, 3), (-0.0, -0.0, 2),  # signed zero ends
+    (2.5, -1.5, 6), (-1e300, -2e300, 11),  # hi < lo
+    (-1e308, 1e308, 3),  # the span overflows: no value past the first is finite
+])
+def test_linspace_axis_equals_the_listed_axis_bitwise(lo, hi, n):
+    axis, want = Linspace(lo, hi, n), _listed(lo, hi, n)
+    assert len(axis) == n
+    assert _bits(axis) == _bits(want)
+    assert _bits(axis[i] for i in range(-n, n)) == _bits(want + want)
+    if all(map(math.isfinite, want)):
+        assert _bits(np.linspace(lo, hi, n)) == _bits(want)
+    with pytest.raises(IndexError):
+        axis[n]
+
+
+def test_linspace_largest_modulus_from_its_ends():
+    assert _max_abs(Linspace(2.5, -7.0, 4)) == 7.0
+    assert _max_abs(Linspace(-3.0, 1.0, 1)) == 3.0
+    assert _max_abs(Linspace(-1e300, 1e300, 10**7)) == 1e300
+    # a subnormal step can overshoot hi, here by 5e-324; no bound moves by it
+    assert max(Linspace(0.0, 9 * 5e-324, 7)) == 5e-323 > _max_abs(Linspace(0.0, 9 * 5e-324, 7))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lo=st.floats(allow_nan=False), hi=st.floats(allow_nan=False), n=st.integers(1, 40))
+def test_linspace_axis_equals_the_listed_axis_property(lo, hi, n):
+    axis, want = Linspace(lo, hi, n), _listed(lo, hi, n)
+    assert _bits(axis) == _bits(want)
+    if all(map(math.isfinite, want)) and abs(hi - lo) / max(n - 1, 1) >= 2.0**-1022:
+        assert _max_abs(axis) == max(map(abs, want))

@@ -9,13 +9,14 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, assembly, cli, hypersph, specfun, verify
+from poincarewave import GRID_AXES, assembly, cli, dirac, hypersph, specfun, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -515,6 +516,17 @@ _WAVEFUNCTION = st.builds(
 # the amplitude normalization overflows
 @example(argv=["wavefunction", "--m=1e-320", "--pz=1", "--l=1/2", "--kappa=0.5",
                "--kappa-dot=0.5"])
+# the phase bound |E| max|x4| + sum |p_i| max|x_i| overflows
+@example(argv=["wavefunction", "--m=1", "--px=1e150", "--l=1/2", "--kappa=0.5",
+               "--kappa-dot=0.5", "--x1=-1e200:1:3"])
+# the largest product of the factors, with the margin of the translation
+# bound, just inside and just past the double range
+@example(argv=["wavefunction", "--m=1", "--pz=1e10", "--l=1/2", "--kappa=0.5",
+               "--kappa-dot=0.5", "--c1=3.050326724116863e+303", "--x3=0:1e290:3",
+               "--x4=-1:1:2"])
+@example(argv=["wavefunction", "--m=1", "--pz=1e10", "--l=1/2", "--kappa=0.5",
+               "--kappa-dot=0.5", "--c1=3.0503267241168634e+303", "--x3=0:1e290:3",
+               "--x4=-1:1:2"])
 def test_grid_commands_exit_0_with_finite_json_or_2_with_nothing(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -681,9 +693,72 @@ def test_import_builds_no_parser():
     (("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "1e200", "--kappa-dot", "1e200"),
      "kappa=(1e+200+0j), kappa_dot=(1e+200+0j)"),
     ((*_WF, "--radius", "1e-320"), "z=1e-320, a*z=1e-320"),
+    (("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "1e100", "--kappa-dot", "1e100",
+      "--radius", "1e300"), "z=1e+300, a*z=inf"),
+    (("wavefunction", "--m", "1", "--px", "1e150", "--l", "1/2", "--kappa", "0.5",
+      "--kappa-dot", "0.5", "--x1", "1e200"),
+     "(E, px, py, pz) = (1e+150, 1e+150, 0.0, 0.0), |x| up to (1e+200, 0.0, 0.0, 0.0)"),
+    (("wavefunction", "--m", "1", "--l", "3/2", "--kappa", "0.5", "--kappa-dot", "0.5"),
+     "--l: l must be 1/2, got 3/2"),
+    ((*_WF, "--l-dot", "5/2"), "--l-dot: l_dot must be 1/2, got 5/2"),
 ])
 def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_product_bound_at_the_edge_of_the_double_range(capsys):
+    # |u_1| max|L_1| times 1 + 2**-40 sits just below, then just past, the
+    # largest double; every written value, |psi| among them, is finite
+    edge = ("wavefunction", "--m", "1", "--pz", "1e10", "--l", "1/2", "--kappa", "0.5",
+            "--kappa-dot", "0.5", "--x3=0:1e290:3", "--x4=-1:1:2", "--format", "csv")
+    code, out, _ = run(capsys, *edge, "--c1", "3.050326724116863e+303")
+    assert code == 0
+    cells = [float(v) for line in out.splitlines()[1:] for v in line.split(",")]
+    assert len(cells) == 6 * 24 and all(map(math.isfinite, cells))
+    assert max(cells) > 1.7976931348e308
+    code, out, err = run(capsys, *edge, "--c1", "3.0503267241168634e+303")
+    assert (code, out, err) == (2, "", "error: a product of the grid factors overflows\n")
+
+
+def test_first_row_written_after_one_x_entry(monkeypatch):
+    # the translation factor is streamed: two plane waves (one x point)
+    # before the first row, two per x point in all
+    waves = [0]
+    plane_wave = dirac.plane_wave
+
+    def counting(*args):
+        waves[0] += 1
+        return plane_wave(*args)
+
+    class Recorder(io.StringIO):
+        def write(self, s):
+            seen.append(waves[0])
+            return super().write(s)
+
+    seen = []
+    monkeypatch.setattr(dirac, "plane_wave", counting)
+    with contextlib.redirect_stdout(Recorder()):
+        code = main([*_WF, "--x1=0:1:50", "--x4=-1:1:4", "--theta=0.5:2.5:3", "--format=csv"])
+    assert code == 0
+    assert seen[:2] == [0, 2]  # the header, then the first row
+    assert waves[0] == 2 * 50 * 4
+
+
+def test_x_only_grid_memory_does_not_grow_with_the_row_count():
+    # the x factor is streamed and each axis computes its values on demand,
+    # so a grid of 10**5 rows peaks no higher than one of 10**4
+    def peak(n):
+        tracemalloc.start()
+        try:
+            code = main([*_WF, f"--x1=0:1:{n}", "--format=csv", f"--out={os.devnull}"])
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    main([*_WF, "--format=csv", f"--out={os.devnull}"])  # parser and imports first
+    (small_code, small), (large_code, large) = peak(10**4), peak(10**5)
+    assert small_code == large_code == 0
+    assert large < small + 64 * 1024, (small, large)

@@ -14,7 +14,6 @@ from poincarewave.hypersph import (
     kernel_plan,
     m_assoc,
     m_assoc_dotted,
-    m_assoc_pair,
     sum_index_values,
     z_assoc,
     z_grid,
@@ -163,14 +162,6 @@ def test_values_finite_on_grid():
         for tau in (0.05, 1.0, 6.0):
             v = z_assoc(idx, theta, tau)
             assert math.isfinite(v.real) and math.isfinite(v.imag)
-
-
-def test_pair_matches_separate_calls_bitwise():
-    ang = EulerAngles(phi=0.7, eps=-0.4, theta=1.1, tau=2.3)
-    for l, l_dot, m in ((1, 1, 1), (1, 1, -1), (1, 3, 1), (7, 7, 5)):
-        idx, idx_dot = HypersphIndex(half(l), half(m)), HypersphIndex(half(l_dot), half(m))
-        got = m_assoc_pair(idx, idx_dot, ang)
-        assert got == (m_assoc(idx, ang), m_assoc_dotted(idx_dot, ang))
 
 
 def test_kernel_overflow_raises():
