@@ -311,11 +311,15 @@ def _product(seqs: Sequence[Sequence[float]]) -> Iterator[tuple[float, ...]]:
 
 
 def _largest(table: list[Entry]) -> list[float]:
-    """The largest modulus of each component over a factor table."""
-    mags = [[abs(v) for v in entries] for _, entries in table]
-    if not all(map(math.isfinite, itertools.chain.from_iterable(mags))):
-        raise OverflowError("a grid factor is not finite")
-    return [max(col) for col in zip(*mags)]
+    """The largest modulus of each component over a factor table, taken
+    one component at a time so that only one column of moduli is held."""
+    largest = []
+    for i in range(len(table[0][1]) if table else 0):
+        mags = [abs(entries[i]) for _, entries in table]
+        if not all(map(math.isfinite, mags)):
+            raise OverflowError("a grid factor is not finite")
+        largest.append(max(mags))
+    return largest
 
 
 def grid_rows(

@@ -153,15 +153,15 @@ def cmd_hypersph(args) -> int:
     fields = ("theta", "tau", "phi", "eps")
     axes = dict(zip(fields, _axes([args.theta, args.tau, args.phi, args.eps])))
     # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
-    # (theta, tau) sub-grid in one z_grid call, and the phase once per
-    # (phi, eps) point
-    zs = {(theta, tau): z
-          for theta, row in zip(axes["theta"], hypersph.z_grid(idx, axes["theta"], axes["tau"]))
-          for tau, z in zip(axes["tau"], row)}
+    # (theta, tau) sub-grid in one z_grid call, which each point reads by
+    # its own row and column, and the phase once per (phi, eps) point
+    grid = hypersph.z_grid(idx, axes["theta"], axes["tau"])
+    row_of = dict(zip(axes["theta"], grid))
+    column_of = {tau: j for j, tau in enumerate(axes["tau"])}
     rows = assembly.sweep(
         axes,
         ("theta", "tau"),
-        lambda theta, tau: ((theta, tau), (zs[theta, tau],)),
+        lambda theta, tau: ((theta, tau), (row_of[theta][column_of[tau]],)),
         lambda phi, eps: ((phi, eps), (hypersph.phase(
             idx.m, hypersph.EulerAngles(phi=phi, eps=eps), args.dotted),)),
     )

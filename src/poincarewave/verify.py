@@ -303,23 +303,24 @@ def verify_bessel():
 # ---------------------------------------------------------------- hyp2f1
 
 def mp_hyp2f1_series(a, b, c, x, jmax=None, dps=50):
-    """Brute-force term-by-term summation at high working precision."""
+    """Brute-force term-by-term summation at high working precision: an
+    ``mpf`` sum for an ``mpf`` argument ``x``, an ``mpc`` one otherwise."""
     import mpmath as mp
 
+    real = isinstance(x, mp.mpf)
     with mp.workdps(dps):
         s = mp.mpf(1)
-        term = mp.mpc(1)
+        term = mp.mpf(1) if real else mp.mpc(1)
         j = 0
-        while True:
-            if jmax is not None and j >= jmax:
-                return mp.mpc(s)
+        while jmax is None or j < jmax:
             term = term * (a + j) * (b + j) / ((c + j) * (j + 1)) * x
             s += term
             j += 1
             if jmax is None and abs(term) < mp.mpf(10) ** (-dps) * abs(s):
-                return mp.mpc(s)
+                break
             if j > 10**6:
                 raise RuntimeError("oracle series did not converge")
+        return s if real else mp.mpc(s)
 
 
 def verify_hyp2f1():
@@ -382,47 +383,64 @@ def _oracle_factor(a, b, c, xkey, x, dps, cache):
     return val
 
 
-def _oracle_theta_row(terms, l2, theta, dps, cache):
-    """cos^{2l}(theta/2) and, per k, (i^n tan^n(theta/2), F_theta) at
-    ``dps`` digits."""
+def _oracle_angle_part(xkey, dps, cache):
+    """(tan, cos) of theta/2 for the grid value ``xkey = (theta, "th")``,
+    or (tanh, cosh) of tau/2 for ``xkey = (tau, "ta")``, at ``dps``
+    digits; made once per (xkey, dps) and kept in ``cache``."""
     import mpmath as mp
 
-    with mp.workdps(dps):
-        th = mp.mpf(theta)
-        t = mp.tan(th / 2)
-        x = -t * t
-        return mp.cos(th / 2) ** l2, [
-            (mp.mpc(0, 1) ** n * t**n, _oracle_factor(*abc, (theta, "th"), x, dps, cache))
-            for n, _, abc, _ in terms]
+    key = (xkey, dps)
+    if key not in cache:
+        value, kind = xkey
+        with mp.workdps(dps):
+            half = mp.mpf(value) / 2
+            cache[key] = (mp.tan(half), mp.cos(half)) if kind == "th" else (
+                mp.tanh(half), mp.cosh(half))
+    return cache[key]
 
 
-def _oracle_tau_row(terms, l2, tau, dps, cache):
-    """cosh^{2l}(tau/2) and, per k, (tanh^{-k}(tau/2), F_tau) at ``dps``
+def _oracle_theta_column(terms, l2, theta, dps, cache):
+    """Per k, A_k = cos^{2l}(theta/2) i^n tan^n(theta/2) F_theta at ``dps``
     digits."""
     import mpmath as mp
 
+    xkey = (theta, "th")
+    t, c = _oracle_angle_part(xkey, dps, cache)
     with mp.workdps(dps):
-        ta = mp.mpf(tau)
-        h = mp.tanh(ta / 2)
-        y = h * h
-        return mp.cosh(ta / 2) ** l2, [
-            (h ** mp.mpf(e), _oracle_factor(*abc, (tau, "ta"), y, dps, cache))
-            for _, e, _, abc in terms]
+        pref, x = c**l2, -t * t
+        return [pref * mp.mpc(0, 1) ** n * t**n * _oracle_factor(*abc, xkey, x, dps, cache)
+                for n, _, abc, _ in terms]
+
+
+def _oracle_tau_column(terms, l2, tau, dps, cache):
+    """Per k, B_k = cosh^{2l}(tau/2) tanh^{-k}(tau/2) F_tau at ``dps``
+    digits."""
+    import mpmath as mp
+
+    xkey = (tau, "ta")
+    h, c = _oracle_angle_part(xkey, dps, cache)
+    with mp.workdps(dps):
+        pref, y = c**l2, h * h
+        return [pref * h ** mp.mpf(e) * _oracle_factor(*abc, xkey, y, dps, cache)
+                for _, e, _, abc in terms]
 
 
 def z_grid_oracle(idx: hypersph.HypersphIndex, thetas, taus, cache=None) -> list[list[complex]]:
     """Independent high-precision direct summation of the Z kernel over the
     grid thetas x taus, in the row layout of ``hypersph.z_grid``.
 
-    Each point works at ``_ORACLE_DPS`` digits plus tau/ln(10): 1 -
+    Z(theta, tau) = sum over k of A_k(theta) B_k(tau), a theta column times
+    a tau column (``_oracle_theta_column``, ``_oracle_tau_column``), and
+    each point is one ``mp.fdot`` of the two, rounded once at its tau's
+    precision.  That is ``_ORACLE_DPS`` digits plus tau/ln(10): 1 -
     tanh^2(tau/2) ~ 4 e^{-tau}, so forming tanh^2 cancels that many
-    digits, which the tau factors (singular at tanh^2 = 1) need back.  The
-    theta parts are made once per (theta, precision), the tau parts once
-    per tau, and a point is the sum over k of ((i^n tan^n) tanh^{-k})
-    F_theta F_tau times cos^{2l} cosh^{2l}.  The factors live in ``cache``,
-    a dict the caller may share between calls (``verify_hypersph`` shares
-    one across its indices); it is keyed without the precision, so a theta
-    factor is computed at the precision of the first tau that needs it.
+    digits, which the tau factors (singular at tanh^2 = 1) need back.  Each
+    tau column is made at its tau's precision, and each theta column once,
+    at the grid's largest precision.  The factors and the angle parts
+    (``_oracle_angle_part``) live in ``cache``, a dict the caller may share
+    between calls (``verify_hypersph`` shares one across its indices);
+    factors are keyed without the precision, so each is computed at the
+    precision of its first request.
     """
     import mpmath as mp
 
@@ -434,20 +452,15 @@ def z_grid_oracle(idx: hypersph.HypersphIndex, thetas, taus, cache=None) -> list
         terms.append(((idx.m.twice - k.twice) // 2, -k.twice / 2.0, params[:3], params[3:]))
     l2 = idx.l.twice
     dpss = [_ORACLE_DPS + int(tau / math.log(10)) for tau in taus]
-    tau_rows = [_oracle_tau_row(terms, l2, tau, dps, cache) for tau, dps in zip(taus, dpss)]
+    tau_cols = [_oracle_tau_column(terms, l2, tau, dps, cache) for tau, dps in zip(taus, dpss)]
+    top = max(dpss, default=_ORACLE_DPS)
     out = []
     for theta in thetas:
-        # in the order the taus first ask for each precision
-        theta_rows = {dps: _oracle_theta_row(terms, l2, theta, dps, cache)
-                      for dps in dict.fromkeys(dpss)}
+        theta_col = _oracle_theta_column(terms, l2, theta, top, cache)
         row = []
-        for dps, (tau_pref, tau_terms) in zip(dpss, tau_rows):
-            theta_pref, theta_terms = theta_rows[dps]
+        for dps, tau_col in zip(dpss, tau_cols):
             with mp.workdps(dps):
-                s = mp.mpc(0)
-                for (a, f_theta), (b, f_tau) in zip(theta_terms, tau_terms):
-                    s += a * b * f_theta * f_tau
-                row.append(complex(theta_pref * tau_pref * s))
+                row.append(complex(mp.fdot(theta_col, tau_col)))
         out.append(row)
     return out
 

@@ -762,3 +762,21 @@ def test_x_only_grid_memory_does_not_grow_with_the_row_count():
     (small_code, small), (large_code, large) = peak(10**4), peak(10**5)
     assert small_code == large_code == 0
     assert large < small + 64 * 1024, (small, large)
+
+
+def test_hypersph_kernel_memory_per_point():
+    # the kernel is held as z_grid's rows and sweep's left table, with no
+    # dict of it keyed by (theta, tau), and the table's largest modulus is
+    # taken one column at a time: a 100 x 100 (theta, tau) grid peaks at
+    # about 224 B per point, where the dict and a list of moduli per point
+    # besides took about 480 B
+    main(["hypersph", "--l", "1/2", "--m", "1/2", "--format=csv", f"--out={os.devnull}"])
+    tracemalloc.start()
+    try:
+        code = main(["hypersph", "--l", "1/2", "--m", "1/2", "--theta=0.1:3:100",
+                     "--tau=0.1:3:100", "--phi=0:1:2", "--format=csv", f"--out={os.devnull}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 300 * 100 * 100, peak
