@@ -12,9 +12,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import dirac, hypersph
 from .dirac import FourMomentum, u_amplitude, v_amplitude
@@ -38,13 +37,8 @@ _X_AXES = GRID_AXES[:4]
 # (each at most 2**-53 relative), with room to spare.
 _ROUNDING_MARGIN = 1.0 + 2.0**-40
 
-# Two doubles as a dict key that tells -0.0 from 0.0: they compare equal,
-# but the phases of m = +-1/2 at a signed zero of phi or eps differ in the
-# sign of a zero part.
-_PAIR = struct.Struct("2d")
-
 Factor = tuple[complex, complex, complex, complex]
-# What a factor of ``sweep`` returns for one point: (key, entries).
+# A point of a factor of ``sweep``: (key, entries).
 Entry = tuple[Any, tuple[complex, ...]]
 
 
@@ -221,83 +215,40 @@ def _validate_axis(name: str, values: Sequence[float]) -> None:
         raise DomainError(f"axis {name!r} has no points")
 
 
-def sweep(
-    axes: Mapping[str, Sequence[float]],
-    left_axes: Collection[str],
-    left: Callable[..., Entry],
-    right: Callable[..., Entry],
-    left_bound: Sequence[float] | None = None,
-) -> Iterator[tuple[Any, Any, tuple[complex, ...]]]:
-    """Evaluate a grid that is the product of two factors over disjoint axes.
-
-    The grid is the cartesian product of ``axes`` (name -> values) in
-    lexicographic order, the first axis slowest.  ``left`` takes the axes
-    named in ``left_axes`` as keyword arguments and ``right`` the others;
-    each returns ``(key, entries)``: a label for its point and a tuple of
-    complex factor entries.
-
-    ``left_bound``, when given, is the caller's promise that ``left``
-    cannot raise and that |entry i| <= left_bound[i] at every point.  Then
-    when the left axes all come before the right ones, ``left`` is
-    streamed: it is evaluated when the iterator reaches its point, and only
-    its last entry is kept, so memory grows with the right sub-grid alone.
-    Otherwise each factor is tabulated, evaluated once per point of its
-    sub-grid before this returns.
-
-    Every error is raised before this returns: SizeCapExceeded, any error
-    of a tabulated factor, and OverflowError when a tabulated entry is not
-    finite or when max|left_i| * max|right_i|, the largest product of
-    component i (with ``left_bound`` for max|left_i| when given), is not.
-    The iterator returned then yields, for each grid point in order,
-    ``(left key, right key, left entries * right entries)``, the product
-    taken componentwise, and cannot raise.
-    """
-    names = list(axes)
-    total = math.prod(len(axes[name]) for name in names)
+def check_grid_size(counts: Iterable[int]) -> None:
+    """SizeCapExceeded when a grid of axes with these point counts has more
+    than GRID_SIZE_CAP points."""
+    total = math.prod(counts)
     if total > GRID_SIZE_CAP:
         raise SizeCapExceeded(f"grid of {total} points exceeds cap {GRID_SIZE_CAP}")
-    left_names = [n for n in names if n in left_axes]
-    streamed = left_bound is not None and names[:len(left_names)] == left_names
-    lt = [] if streamed else _table(left, left_names, axes)
-    rt = _table(right, [n for n in names if n not in left_axes], axes)
-    for a, b in zip(_largest(lt) if left_bound is None else left_bound, _largest(rt)):
+
+
+def sweep(
+    outer: Iterable[Entry],
+    inner: Sequence[Entry],
+    outer_bound: Sequence[float],
+) -> Iterator[tuple[Any, Any, tuple[complex, ...]]]:
+    """Evaluate a grid that is the product of an outer and an inner factor.
+
+    Each factor gives its sub-grid's points in order as ``(key, entries)``:
+    a label for the point and a tuple of complex factor entries.  ``outer``
+    is read as the rows are read, one point per pass over ``inner``, so
+    memory grows with the inner sub-grid alone; ``inner`` is a table built
+    before the call.  ``outer_bound`` is the caller's promise that reading
+    ``outer`` cannot raise and that |outer entry i| <= outer_bound[i] at
+    every point.
+
+    OverflowError is raised before this returns when an inner entry is not
+    finite or when outer_bound[i] * max|inner entry i|, the bound of the
+    product of component i, is not.  The iterator returned then yields, for
+    each outer point and, within it, each inner point,
+    ``(outer key, inner key, outer entries * inner entries)``, the product
+    taken componentwise, and cannot raise.
+    """
+    for a, b in zip(outer_bound, _largest(inner)):
         if not math.isfinite(a * b):
             raise OverflowError("a product of the grid factors overflows")
-
-    if streamed:
-        def stream():
-            for point in _product([axes[n] for n in left_names]):
-                lk, lv = left(**dict(zip(left_names, point)))
-                for rk, rv in rt:
-                    yield lk, rk, tuple(map(operator.mul, lv, rv))
-
-        return stream()
-
-    # A point's index into each table is a mixed-radix number over that
-    # factor's axes.  The right factor's place values are scaled by
-    # len(lt), so the sum of a point's per-axis offsets carries both
-    # indices and divmod splits them.
-    steps = []
-    place = {True: 1, False: len(lt)}
-    for name in reversed(names):
-        side = name in left_axes
-        steps.append([k * place[side] for k in range(len(axes[name]))])
-        place[side] *= len(axes[name])
-    steps.reverse()
-
-    def pairs():
-        for offsets in itertools.product(*steps):
-            j, i = divmod(sum(offsets), len(lt))
-            (lk, lv), (rk, rv) = lt[i], rt[j]
-            yield lk, rk, tuple(map(operator.mul, lv, rv))
-
-    return pairs()
-
-
-def _table(fn: Callable[..., Entry], sub: list[str],
-           axes: Mapping[str, Sequence[float]]) -> list[Entry]:
-    """``fn`` at every point of the sub-grid of the axes ``sub``, in order."""
-    return [fn(**dict(zip(sub, point))) for point in itertools.product(*(axes[n] for n in sub))]
+    return ((ok, ik, tuple(map(operator.mul, ov, iv))) for ok, ov in outer for ik, iv in inner)
 
 
 def _product(seqs: Sequence[Sequence[float]]) -> Iterator[tuple[float, ...]]:
@@ -310,7 +261,7 @@ def _product(seqs: Sequence[Sequence[float]]) -> Iterator[tuple[float, ...]]:
     return ((*head, v) for head in _product(outer) for v in last)
 
 
-def _largest(table: list[Entry]) -> list[float]:
+def _largest(table: Sequence[Entry]) -> list[float]:
     """The largest modulus of each component over a factor table, taken
     one component at a time so that only one column of moduli is held."""
     largest = []
@@ -326,70 +277,51 @@ def grid_rows(
     cfg: SpinConfig,
     axes: Mapping[str, Sequence[float]],
 ) -> Iterator[tuple[tuple[float, float, float, float], EulerAngles, Factor]]:
-    """The rows of ``grid_eval`` as an iterator of ``(x, angles, psi)``.
+    """The rows of a grid over every axis, as an iterator of
+    ``(x, angles, psi)`` in lexicographic GRID_AXES order, the first axis
+    slowest, whatever the order of ``axes``.
 
     ``axes`` maps every name in GRID_AXES to its values; a fixed
     parameter is an axis of one value.  The grid is evaluated as the
-    factorization, through ``sweep``: the config-only work once, the
-    Lorentz factor as a function of (phi, eps, theta, tau) once per point
-    of the angle sub-grid, and each row as the componentwise product of it
-    with the translation factor, a function of (x1, x2, x3, x4).  The
-    Lorentz factor takes the two kernels Z^{1/2}_{+-1/2} once per
-    (theta, tau) point and the four phases once per (phi, eps) point; each
-    is tabulated when it recurs, that is when the other pair's sub-grid has
-    several points.
+    factorization, through ``sweep``: the config-only work once, and each
+    row as the componentwise product of the translation factor, a function
+    of (x1, x2, x3, x4), with the Lorentz factor, a function of
+    (phi, eps, theta, tau).  The Lorentz factor is a table over the angle
+    sub-grid, made from the two kernels Z^{1/2}_{+-1/2} once per
+    (theta, tau) point and the four phases once per (phi, eps) point; the
+    tables are read by position, so every value, signed zeros among them,
+    keeps its own entry.  The translation factor is streamed: it is
+    evaluated when the iterator reaches its x point.
 
-    The translation factor is streamed when the x axes come first, as in
-    GRID_AXES order, and tabulated otherwise.  Everything it could raise
-    is decided before any x is evaluated: its amplitude entries, and
-    PhaseOverflow unless |E| max|x4| + sum_i |p_i| max|x_i| is finite,
-    which bounds every phase p.x.  Each of its entries then has modulus at
-    most |u_i| or |v_i| up to rounding, which ``_ROUNDING_MARGIN`` covers
-    in the bound it gives ``sweep``.  The (theta, tau) values are checked
-    first, with ``z_assoc``'s message for the first point in row order
-    outside its domain.  Every error is raised before this returns.
+    Everything the translation factor could raise is decided before any x
+    is evaluated: its amplitude entries, and PhaseOverflow unless
+    |E| max|x4| + sum_i |p_i| max|x_i| is finite, which bounds every phase
+    p.x.  Each of its entries then has modulus at most |u_i| or |v_i| up
+    to rounding, which ``_ROUNDING_MARGIN`` covers in the bound it gives
+    ``sweep``.  The (theta, tau) values are checked first, with
+    ``z_assoc``'s message for the first point in row order outside its
+    domain; the kernel table is built before the phase table, so a kernel
+    error is raised before a phase error.  Every error is raised before
+    this returns.
     """
     for name in axes:
         _validate_axis(name, axes[name])
     missing = [name for name in GRID_AXES if name not in axes]
     if missing:
         raise DomainError(f"grid axes {missing} are missing")
-    hypersph.check_domain(axes["theta"], axes["tau"])
+    thetas, taus, phis, epss = (axes[name] for name in ("theta", "tau", "phi", "eps"))
+    hypersph.check_domain(thetas, taus)
     amplitudes, translation = _translation_part(cfg)
     dirac.check_phase_bound(cfg.p, [_max_abs(axes[name]) for name in _X_AXES])
     coefficients = _radial_coefficients(cfg)
-    # a kernel entry recurs at each (phi, eps) point, a phase entry at each
-    # (theta, tau) point
-    kernels = _tabulated(_kernels, len(axes["phi"]) * len(axes["eps"]) > 1)
-    phases = _tabulated(lambda phi, eps: _phases(EulerAngles(phi, eps)),
-                        len(axes["theta"]) * len(axes["tau"]) > 1)
-
-    def at_x(x1: float, x2: float, x3: float, x4: float) -> Entry:
-        x = (x1, x2, x3, x4)
-        return x, translation(x)
-
-    def at_angles(phi: float, eps: float, theta: float, tau: float) -> Entry:
-        return (EulerAngles(phi, eps, theta, tau),
-                _lorentz(coefficients, kernels(theta, tau), phases(phi, eps)))
-
-    bound = [abs(v) * _ROUNDING_MARGIN for v in amplitudes]
-    return sweep(axes, _X_AXES, at_x, at_angles, left_bound=bound)
-
-
-def _tabulated(fn: Callable[[float, float], Any], recurs: bool) -> Callable[[float, float], Any]:
-    """``fn`` of two floats, each value kept in a table by the bits of the
-    pair when ``recurs``, or ``fn`` itself when no pair will recur."""
-    if not recurs:
-        return fn
-    table: dict[bytes, Any] = {}
-
-    def at(a: float, b: float) -> Any:
-        key = _PAIR.pack(a, b)
-        if key not in table:
-            table[key] = fn(a, b)
-        return table[key]
-
-    return at
+    check_grid_size(len(axes[name]) for name in GRID_AXES)
+    kernels = [_kernels(theta, tau) for theta, tau in itertools.product(thetas, taus)]
+    phases = [_phases(EulerAngles(phi, eps)) for phi, eps in itertools.product(phis, epss)]
+    angles = [(EulerAngles(phi, eps, theta, tau), _lorentz(coefficients, z, ph))
+              for (phi, eps), ph in zip(itertools.product(phis, epss), phases)
+              for (theta, tau), z in zip(itertools.product(thetas, taus), kernels)]
+    xs = ((x, translation(x)) for x in _product([axes[name] for name in _X_AXES]))
+    return sweep(xs, angles, [abs(v) * _ROUNDING_MARGIN for v in amplitudes])
 
 
 def grid_eval(
@@ -401,11 +333,16 @@ def grid_eval(
 
     ``axes`` maps parameter names (subset of GRID_AXES) to value lists;
     unswept parameters come from ``base``.  Rows are emitted in
-    lexicographic order of the axes in mapping order, and each row equals
-    a pointwise ``bispinor`` call bitwise (see ``grid_rows``).
+    lexicographic order of the axes in mapping order: the rows of
+    ``grid_rows``, which come in GRID_AXES order, sorted by their indices
+    on the axes taken in mapping order.  Each row equals a pointwise
+    ``bispinor`` call bitwise.
     """
     b = base.ang
     fixed = zip(GRID_AXES, (*base.x, b.phi, b.eps, b.theta, b.tau))
     full = {**axes, **{name: [v] for name, v in fixed if name not in axes}}
-    return [(GroupPoint(x, ang), PoincareBispinor(*psi))
-            for x, ang, psi in grid_rows(cfg, full)]
+    rows = grid_rows(cfg, full)
+    order = [GRID_AXES.index(name) for name in axes]
+    indices = itertools.product(*(range(len(full[name])) for name in GRID_AXES))
+    return [(GroupPoint(x, ang), PoincareBispinor(*psi)) for _, (x, ang, psi) in
+            sorted(zip(indices, rows), key=lambda row: [row[0][i] for i in order])]

@@ -22,12 +22,13 @@ import argparse
 import cmath
 import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
 
 from . import assembly, dirac, hypersph, radial
-from .errors import DomainError, OrderNotEvaluable, SizeCapExceeded
+from .errors import DomainError, OrderNotEvaluable
 from .halfint import HalfInt
 
 
@@ -41,9 +42,11 @@ def _axes(specs: list[str]) -> list:
     computes each value when it is read and so takes constant memory.
 
     The grid the axes span is checked against ``assembly.GRID_SIZE_CAP``
-    before any value is read.  An axis that overflows, such as a span past
-    the double range, has a value that is not finite and is refused; the
-    values of a Linspace lie between its ends, so the ends decide.
+    from the parsed point counts, before any value is read, so a count
+    past the index size is refused by the cap too.  An axis that
+    overflows, such as a span past the double range, has a value that is
+    not finite and is refused; the values of a Linspace lie between its
+    ends, so the ends decide.
     """
     axes = []
     for spec in specs:
@@ -57,14 +60,15 @@ def _axes(specs: list[str]) -> list:
             raise DomainError(
                 f"grid axis {spec!r} is neither 'value' nor 'lo:hi:n' with an integer n"
             ) from None
-        axes.append((spec, [lo] if n is None else assembly.Linspace(lo, hi, n)))
-    total = math.prod(len(axis) for _, axis in axes)
-    if total > assembly.GRID_SIZE_CAP:
-        raise SizeCapExceeded(f"grid of {total} points exceeds cap {assembly.GRID_SIZE_CAP}")
-    for spec, axis in axes:
+        if n is None:
+            axes.append((spec, [lo], 1))
+        else:
+            axes.append((spec, assembly.Linspace(lo, hi, n), n))
+    assembly.check_grid_size(n for _, _, n in axes)
+    for spec, axis, _ in axes:
         if not (math.isfinite(axis[0]) and math.isfinite(axis[-1])):
             raise DomainError(f"grid axis {spec!r} has a non-finite value")
-    return [axis for _, axis in axes]
+    return [axis for _, axis, _ in axes]
 
 
 def _output(path: str | None):
@@ -153,18 +157,13 @@ def cmd_hypersph(args) -> int:
     fields = ("theta", "tau", "phi", "eps")
     axes = dict(zip(fields, _axes([args.theta, args.tau, args.phi, args.eps])))
     # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
-    # (theta, tau) sub-grid in one z_grid call, which each point reads by
-    # its own row and column, and the phase once per (phi, eps) point
+    # (theta, tau) sub-grid in one z_grid call, streamed in row order over
+    # a table of the phase at each (phi, eps) point
     grid = hypersph.z_grid(idx, axes["theta"], axes["tau"])
-    row_of = dict(zip(axes["theta"], grid))
-    column_of = {tau: j for j, tau in enumerate(axes["tau"])}
-    rows = assembly.sweep(
-        axes,
-        ("theta", "tau"),
-        lambda theta, tau: ((theta, tau), (row_of[theta][column_of[tau]],)),
-        lambda phi, eps: ((phi, eps), (hypersph.phase(
-            idx.m, hypersph.EulerAngles(phi=phi, eps=eps), args.dotted),)),
-    )
+    phases = [(pe, (hypersph.phase(idx.m, hypersph.EulerAngles(*pe), args.dotted),))
+              for pe in itertools.product(axes["phi"], axes["eps"])]
+    kernel = zip(itertools.product(axes["theta"], axes["tau"]), zip(itertools.chain(*grid)))
+    rows = assembly.sweep(kernel, phases, [max(map(abs, itertools.chain(*grid)))])
     doc = {
         "command": "hypersph",
         "inputs": {"l": str(idx.l), "m": str(idx.m), "dotted": bool(args.dotted)},

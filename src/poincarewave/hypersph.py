@@ -183,8 +183,8 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     (and at l = 0); near their endpoints they slow and then raise
     TermCapExceeded (the theta factor of m = l as theta -> pi) or
     NonConvergent (the tau factor of l >= 3/2 once tanh^2(tau/2) rounds to
-    1).  A prefactor or result that is not finite raises OverflowError
-    naming the point, and so does a k-term power tan^{m-k}(theta/2) or
+    1).  A prefactor that is not finite, or a result whose modulus is not,
+    raises OverflowError naming the point, and so does a k-term power tan^{m-k}(theta/2) or
     tanh^{-k}(tau/2) that overflows or divides by 0 (m - k < 0 as theta
     -> 0, k > 0 as tau -> 0), and a tau so small that tanh(tau/2)
     underflows to 0 (tau = 5e-324) when l > 0.
@@ -225,9 +225,12 @@ def _z(idx: HypersphIndex, plan: tuple[KernelTerm, ...], theta: float, tau: floa
         comp = (tv - total) - yv
         total = tv
     z = prefactor * total
-    if not cmath.isfinite(z):
-        raise _overflow(idx, theta, tau)
-    return z
+    try:
+        if math.isfinite(abs(z)):
+            return z
+    except OverflowError:  # both parts finite, |z| past the double range
+        pass
+    raise _overflow(idx, theta, tau)
 
 
 def z_grid(

@@ -137,14 +137,18 @@ def test_grid_rows_match_pointwise_calls():
         direct = bispinor(cfg, gp).as_tuple()
         assert row.as_tuple() == direct  # bitwise equality
         assert gp.x == base.x
-    # x and angle axes interleaved, in an order other than GRID_AXES
-    axes = {"tau": [0.4, 2.0], "x4": [-1.0, 0.5, 2.0], "theta": [0.5, 2.5], "x1": [0.0, 1.5]}
+    # x and angle axes interleaved, in an order other than GRID_AXES; phi
+    # takes both signed zeros, which compare equal but are distinct points
+    axes = {"tau": [0.4, 2.0], "x4": [-1.0, 0.5, 2.0], "phi": [0.0, -0.0], "theta": [0.5, 2.5],
+            "x1": [0.0, 1.5]}
     rows = grid_eval(cfg, base, axes)
-    assert len(rows) == 24
-    for (gp, row), (ta, x4, th, x1) in zip(rows, itertools.product(*axes.values())):
+    assert len(rows) == 48
+    for (gp, row), (ta, x4, ph, th, x1) in zip(rows, itertools.product(*axes.values())):
         assert (gp.ang.tau, gp.x[3], gp.ang.theta, gp.x[0]) == (ta, x4, th, x1)
-        assert (gp.x[1], gp.x[2], gp.ang.phi, gp.ang.eps) == (0.2, 0.3, ANG.phi, ANG.eps)
+        assert math.copysign(1.0, gp.ang.phi) == math.copysign(1.0, ph)
+        assert (gp.x[1], gp.x[2], gp.ang.eps) == (0.2, 0.3, ANG.eps)
         assert row.as_tuple() == bispinor(cfg, gp).as_tuple()
+        assert repr(row.as_tuple()) == repr(bispinor(cfg, gp).as_tuple())  # signed zeros
 
 
 def _counted(monkeypatch, module, name):
@@ -258,26 +262,27 @@ def test_streamed_grid_rows_match_pointwise_calls(monkeypatch):
 def test_streamed_factor_is_evaluated_as_the_rows_are_read():
     calls = []
 
-    def left(a, b):
-        calls.append((a, b))
-        return (a, b), (complex(a), complex(b))
+    def outer():
+        for a, b in itertools.product(Linspace(0.0, 1.0, 4), [1.0, 2.0]):
+            calls.append((a, b))
+            yield (a, b), (complex(a), complex(b))
 
-    def right(c):
-        return c, (complex(c), 1j)
-
-    axes = {"a": Linspace(0.0, 1.0, 4), "b": [1.0, 2.0], "c": [3.0, 4.0, 5.0]}
-    rows = sweep(axes, ("a", "b"), left, right, left_bound=[1.0, 2.0])
+    inner = [(c, (complex(c), 1j)) for c in (3.0, 4.0, 5.0)]
+    rows = sweep(outer(), inner, [1.0, 2.0])
     assert calls == []
     first = next(rows)
     assert calls == [(0.0, 1.0)] and first == ((0.0, 1.0), 3.0, (0j, 1j))
     rest = list(rows)
     assert len(rest) == 4 * 2 * 3 - 1
-    assert calls == list(itertools.product(axes["a"], axes["b"]))
-    # with the right axes first the left factor is tabulated before return
+    # each outer point read once, in order, and paired with every inner one
+    assert calls == list(itertools.product(Linspace(0.0, 1.0, 4), [1.0, 2.0]))
+    keys = [(ok, ik) for ok, ik, _ in [first, *rest]]
+    assert keys == list(itertools.product(calls, [3.0, 4.0, 5.0]))
+    # the product bound is checked before any outer point is read
     calls.clear()
-    sweep({"c": axes["c"], "a": axes["a"], "b": axes["b"]}, ("a", "b"), left, right,
-          left_bound=[1.0, 2.0])
-    assert len(calls) == 8
+    with pytest.raises(OverflowError, match="a product of the grid factors overflows"):
+        sweep(outer(), inner, [1e308, 2.0])
+    assert calls == []
 
 
 def test_phase_bound_raised_before_any_x_is_evaluated(monkeypatch):

@@ -3,7 +3,6 @@ import collections
 import contextlib
 import hashlib
 import io
-import itertools
 import json
 import math
 import os
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, assembly, cli, dirac, hypersph, specfun, verify
+from poincarewave import GRID_AXES, cli, dirac, hypersph, specfun, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -186,6 +185,8 @@ def test_grid_size_cap_checked_before_building(capsys):
         ("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "0.1:3:4000", "--tau", "0.1:3:4000"),
         ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
          "--x1", "0:1:10000001"),
+        # a count past the index size, which len() cannot return
+        ("hypersph", "--l", "1/2", "--m", "1/2", "--theta=0:1:100000000000000000000000"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
@@ -277,29 +278,6 @@ def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys)
     monkeypatch.undo()
     rows = json.loads(out)["rows"]
     assert len(rows) == 36
-    for row in rows:
-        ang = hypersph.EulerAngles(phi=row["phi"], eps=row["eps"], theta=row["theta"],
-                                   tau=row["tau"])
-        assert complex(row["re"], row["im"]) == hypersph.m_assoc(idx, ang)  # bitwise
-
-
-def test_hypersph_kernel_factor_reads_its_own_point(monkeypatch, capsys):
-    # the Z factor looks its value up by (theta, tau), so its rows do not
-    # depend on the order in which sweep asks for the points
-    sweep = assembly.sweep
-
-    def sweep_asking_backwards_first(axes, left_axes, left, right):
-        for point in reversed(list(itertools.product(*(axes[n] for n in left_axes)))):
-            left(**dict(zip(left_axes, point)))
-        return sweep(axes, left_axes, left, right)
-
-    monkeypatch.setattr(assembly, "sweep", sweep_asking_backwards_first)
-    idx = hypersph.HypersphIndex(half(3), half(1))
-    code, out, _ = run(capsys, "hypersph", "--l", "3/2", "--m", "1/2", "--theta", "0.5:2.5:3",
-                       "--tau", "0.5:2:2", "--phi", "0:1:2")
-    assert code == 0
-    rows = json.loads(out)["rows"]
-    assert len(rows) == 12
     for row in rows:
         ang = hypersph.EulerAngles(phi=row["phi"], eps=row["eps"], theta=row["theta"],
                                    tau=row["tau"])
@@ -701,6 +679,12 @@ def test_import_builds_no_parser():
     (("wavefunction", "--m", "1", "--l", "3/2", "--kappa", "0.5", "--kappa-dot", "0.5"),
      "--l: l must be 1/2, got 3/2"),
     ((*_WF, "--l-dot", "5/2"), "--l-dot: l_dot must be 1/2, got 5/2"),
+    # both parts of Z finite, its modulus past the double range
+    (("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "1.0", "--tau", "1409.5731128551818"),
+     "Z^1/2_1/2(theta=1.0, tau=1409.5731128551818) overflows"),
+    # a kernel and a phase both overflow: the kernel table is built first
+    ((*_WF, "--tau=1:1410:2", "--eps", "1e6"),
+     "Z^1/2_1/2(theta=1.5707963267948966, tau=1410.0) overflows"),
 ])
 def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
@@ -765,11 +749,10 @@ def test_x_only_grid_memory_does_not_grow_with_the_row_count():
 
 
 def test_hypersph_kernel_memory_per_point():
-    # the kernel is held as z_grid's rows and sweep's left table, with no
-    # dict of it keyed by (theta, tau), and the table's largest modulus is
-    # taken one column at a time: a 100 x 100 (theta, tau) grid peaks at
-    # about 224 B per point, where the dict and a list of moduli per point
-    # besides took about 480 B
+    # the kernel is held once, as z_grid's rows, and streamed over the
+    # phase table: a 100 x 100 (theta, tau) grid peaks at about 54 B per
+    # point, where a second table of it keyed by (theta, tau) besides took
+    # about 244 B
     main(["hypersph", "--l", "1/2", "--m", "1/2", "--format=csv", f"--out={os.devnull}"])
     tracemalloc.start()
     try:
@@ -779,4 +762,4 @@ def test_hypersph_kernel_memory_per_point():
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 300 * 100 * 100, peak
+    assert peak < 100 * 100 * 100, peak

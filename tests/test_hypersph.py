@@ -241,6 +241,7 @@ def test_half_grid_matches_pointwise_up_to_the_overflow(m):
     (1, 1, None, 5e-324, OverflowError),  # tanh(tau/2) underflows to 0
     (3, -3, None, 5e-324, OverflowError),
     (1, 1, None, 1410.0, OverflowError),  # the value overflows
+    (1, 1, None, 1409.5731128551818, OverflowError),  # both parts finite, the modulus not
     (7, 7, None, 800.0, OverflowError),  # cosh(tau/2)**7 overflows
     (0, 0, None, 1500.0, OverflowError),  # cosh(tau/2) overflows
     (3, -3, None, 50.0, NonConvergent),  # tanh^2(tau/2) rounds to 1
