@@ -208,11 +208,10 @@ def bispinor(cfg: SpinConfig, gp: GroupPoint) -> PoincareBispinor:
     return PoincareBispinor(*map(operator.mul, t, lo))
 
 
-def _validate_axis(name: str, values: Sequence[float]) -> None:
-    if name not in GRID_AXES:
-        raise DomainError(f"unknown grid axis {name!r}; valid axes: {GRID_AXES}")
-    if len(values) == 0:
-        raise DomainError(f"axis {name!r} has no points")
+def _points(values: Sequence[float]) -> int:
+    """The number of values on an axis; a Linspace's may be past what
+    ``len`` can return."""
+    return values.n if isinstance(values, Linspace) else len(values)
 
 
 def check_grid_size(counts: Iterable[int]) -> None:
@@ -298,23 +297,29 @@ def grid_rows(
     |E| max|x4| + sum_i |p_i| max|x_i| is finite, which bounds every phase
     p.x.  Each of its entries then has modulus at most |u_i| or |v_i| up
     to rounding, which ``_ROUNDING_MARGIN`` covers in the bound it gives
-    ``sweep``.  The (theta, tau) values are checked first, with
-    ``z_assoc``'s message for the first point in row order outside its
-    domain; the kernel table is built before the phase table, so a kernel
-    error is raised before a phase error.  Every error is raised before
-    this returns.
+    ``sweep``.  The size cap is checked first, from the point counts, so a
+    Linspace of more points than ``len`` can return is refused by the cap.
+    The (theta, tau) values are checked next, with ``z_assoc``'s message
+    for the first point in row order outside its domain; the kernel table
+    is built before the phase table, so a kernel error is raised before a
+    phase error.  Every error is raised before this returns.
     """
     for name in axes:
-        _validate_axis(name, axes[name])
+        if name not in GRID_AXES:
+            raise DomainError(f"unknown grid axis {name!r}; valid axes: {GRID_AXES}")
     missing = [name for name in GRID_AXES if name not in axes]
     if missing:
         raise DomainError(f"grid axes {missing} are missing")
+    counts = [_points(axes[name]) for name in GRID_AXES]
+    check_grid_size(counts)
+    for name, n in zip(GRID_AXES, counts):
+        if not n:
+            raise DomainError(f"axis {name!r} has no points")
     thetas, taus, phis, epss = (axes[name] for name in ("theta", "tau", "phi", "eps"))
     hypersph.check_domain(thetas, taus)
     amplitudes, translation = _translation_part(cfg)
     dirac.check_phase_bound(cfg.p, [_max_abs(axes[name]) for name in _X_AXES])
     coefficients = _radial_coefficients(cfg)
-    check_grid_size(len(axes[name]) for name in GRID_AXES)
     kernels = [_kernels(theta, tau) for theta, tau in itertools.product(thetas, taus)]
     phases = [_phases(EulerAngles(phi, eps)) for phi, eps in itertools.product(phis, epss)]
     angles = [(EulerAngles(phi, eps, theta, tau), _lorentz(coefficients, z, ph))

@@ -6,8 +6,11 @@ over grids) and ``verify`` (property suites with JSON reports).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or domain error.
 JSON serializes every complex value as {"re": ..., "im": ...}; CSV uses
-17-significant-digit decimals so emitted values round-trip exactly.  Each
-row is written with one format operation, and the text is byte-identical to
+17-significant-digit decimals so emitted values round-trip exactly.  One
+writer, ``_emit``, serves every command: each axis value is rendered to
+text once (a streamed axis value when the rows reach it, a tabled one once
+per command), each modulus once per row, and each row is that text plus
+one format of its re and im parts.  The text is byte-identical to
 ``json.dumps(doc, indent=2)`` or to ``format(v, ".17g")`` per cell.  The
 parser is built once per process, on the first ``main`` call, not at import.
 
@@ -76,36 +79,71 @@ def _output(path: str | None):
     return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None, fields) -> None:
+# The text of one value: CSV prints format(v, ".17g"), and JSON what
+# json.dumps prints for a finite float, an np.float64 among them, or an int.
+_RENDER = {"csv": "%.17g".__mod__, "json": str}
+
+
+def _streamed(render, axes: list):
+    """The text of each point of ``product(*axes)`` in its order, each
+    value rendered when it is read: a value of an axis once per point of
+    the axes before it.  Nothing is held but the current point."""
+    if not axes:
+        return iter([()])
+    *outer, last = axes
+    return ((*head, render(v)) for head in _streamed(render, outer) for v in last)
+
+
+def _emit(doc: dict, fmt: str, out_path: str | None, fields, axes: list,
+          streamed: int = 0, moduli: bool = False) -> None:
     """Write ``doc`` to ``out_path``, or to stdout, one row at a time.
 
-    ``doc["rows"]`` is an iterable of tuples of numbers in ``fields``
-    order.  JSON writes the whole document, CSV only its rows.  Each row is
-    one ``%`` format of a template made once per command.
+    The rows are the points of the grid ``product(*axes)``, the first axis
+    slowest, and ``doc["rows"]`` gives, in the same order, each point's
+    values: a tuple of numbers, each written as its re and im, and when
+    ``moduli`` its modulus after them twice (the abs and abs_factors
+    columns).  ``fields`` names every cell.  JSON writes the whole
+    document, CSV only its rows.
+
+    Each axis value and modulus is rendered once: a value of the first
+    ``streamed`` axes when the rows reach it, a value of the others once
+    per command.  A row is one ``%`` format of a template made once per
+    command, with that text in its slots and re and im formatted by it.
     """
-    rows = doc["rows"]
+    render = _RENDER[fmt]
+    number = "%.17g" if fmt == "csv" else "%s"  # how the template prints re and im
+    parts = [number, number, "%s", "%s"] if moduli else [number, number]
+    slots = ["%s"] * len(axes) + parts * ((len(fields) - len(axes)) // len(parts))
+    if fmt == "csv":
+        head, first, end = ",".join(fields) + "\n", ",".join(slots) + "\n", ""
+        rest = first
+    else:
+        # The text of json.dumps(doc, indent=2): its head and tail come
+        # from a one-row placeholder, and each row is set out as the
+        # indented encoder sets out a dict two levels deep
+        text = json.dumps({**doc, "rows": [None]}, indent=2) + "\n"
+        head, _, tail = text.partition("null\n  ]")
+        first = "{\n" + ",\n".join(f"      {json.dumps(f)}: {slot}"
+                                    for f, slot in zip(fields, slots)) + "\n    }"
+        rest, end = ",\n    " + first, "\n  ]" + tail
+
+    tables = [list(map(render, axis)) for axis in axes[streamed:]]
+    keys = ((*outer, *inner) for outer in _streamed(render, axes[:streamed])
+            for inner in itertools.product(*tables))
     with _output(out_path) as fh:
-        if fmt == "csv":
-            # %.17g prints a float as format(v, ".17g") and a small int as str
-            fh.write(",".join(fields) + "\n")
-            line = ",".join(["%.17g"] * len(fields)) + "\n"
-            for row in rows:
-                fh.write(line % row)
-        else:
-            # The text of json.dumps(doc, indent=2): its head and tail come
-            # from a one-row placeholder, and each row is set out as the
-            # indented encoder sets out a dict two levels deep.  %s prints a
-            # finite float, an np.float64 among them, and an int as
-            # json.dumps does.
-            text = json.dumps({**doc, "rows": [None]}, indent=2) + "\n"
-            head, _, tail = text.partition("null\n  ]")
-            item = "{\n" + ",\n".join(f"      {json.dumps(f)}: %s" for f in fields) + "\n    }"
-            fh.write(head)
-            sep = ""
-            for row in rows:
-                fh.write(sep + item % row)
-                sep = ",\n    "
-            fh.write("\n  ]" + tail)
+        fh.write(head)
+        line = first
+        for key, values in zip(keys, doc["rows"]):
+            cells = [*key]
+            for v in values:
+                if moduli:
+                    a = render(abs(v))
+                    cells += (v.real, v.imag, a, a)
+                else:
+                    cells += (v.real, v.imag)
+            fh.write(line % tuple(cells))
+            line = rest
+        fh.write(end)
 
 
 def _complex_flag(s: str) -> complex:
@@ -143,10 +181,10 @@ def cmd_spinor(args) -> int:
             "pz": p.pz,
             "m": p.m,
         },
-        "rows": [(i, v.real, v.imag) for i, v in enumerate(amp, 1)],
+        "rows": [(v,) for v in amp],
         "residual_norm": verify.spinor_residual_norm(args.kind, args.r, p),
     }
-    _emit(doc, args.format, args.out, fields=("component", "re", "im"))
+    _emit(doc, args.format, args.out, ("component", "re", "im"), [range(1, len(amp) + 1)])
     return 0
 
 
@@ -167,9 +205,9 @@ def cmd_hypersph(args) -> int:
     doc = {
         "command": "hypersph",
         "inputs": {"l": str(idx.l), "m": str(idx.m), "dotted": bool(args.dotted)},
-        "rows": ((*zk, *pk, v.real, v.imag) for zk, pk, (v,) in rows),
+        "rows": (entries for _, _, entries in rows),
     }
-    _emit(doc, args.format, args.out, fields=(*fields, "re", "im"))
+    _emit(doc, args.format, args.out, (*fields, "re", "im"), list(axes.values()), streamed=2)
     return 0
 
 
@@ -195,8 +233,8 @@ def cmd_wavefunction(args) -> int:
         )
     except OrderNotEvaluable as exc:
         raise DomainError(f"--{exc.name.replace('_', '-')}: {exc}") from None
-    specs = [getattr(args, name) for name in assembly.GRID_AXES]
-    rows = assembly.grid_rows(cfg, dict(zip(assembly.GRID_AXES, _axes(specs))))
+    axes = _axes([getattr(args, name) for name in assembly.GRID_AXES])
+    rows = assembly.grid_rows(cfg, dict(zip(assembly.GRID_AXES, axes)))
     doc = {
         "command": "wavefunction",
         "inputs": {
@@ -206,27 +244,20 @@ def cmd_wavefunction(args) -> int:
             "radius": cfg.radius, "sign_pair": cfg.sign_pair,
             "px": cfg.p.px, "py": cfg.p.py, "pz": cfg.p.pz, "m": cfg.p.m,
         },
-        "rows": (_wavefunction_row(x, ang, psi) for x, ang, psi in rows),
+        "rows": (psi for _, _, psi in rows),
     }
-    _emit(doc, args.format, args.out, fields=_WAVEFUNCTION_FIELDS)
+    # the x axes are the streamed factor of the grid, the angles its table
+    _emit(doc, args.format, args.out, _WAVEFUNCTION_FIELDS, axes, streamed=4, moduli=True)
     return 0
 
 
+# each component is formed as t_i * L_i, the product of the two factors, so
+# its modulus is also the abs_factors column bitwise
 _WAVEFUNCTION_FIELDS = (
     *assembly.GRID_AXES,
     *(f"{name}_{part}" for name in ("psi1", "psi2", "psi1_dot", "psi2_dot")
       for part in ("re", "im", "abs", "abs_factors")),
 )
-
-
-def _wavefunction_row(x, ang: hypersph.EulerAngles, psi) -> tuple:
-    cells = [*x, ang.phi, ang.eps, ang.theta, ang.tau]
-    for v in psi:
-        # each component is formed as t_i * L_i, the product of the two
-        # factors, so its modulus is also the abs_factors column bitwise
-        a = abs(v)
-        cells += (v.real, v.imag, a, a)
-    return tuple(cells)
 
 
 # ---------------------------------------------------------------- verify

@@ -278,12 +278,13 @@ def phase(m: HalfInt, ang: EulerAngles, dotted: bool) -> complex:
     arg = ang.eps - 1j * ang.phi if dotted else ang.eps + 1j * ang.phi
     try:
         v = cmath.exp(-mval * arg)
+        # the parts of v can be finite while |v| is past the double range
+        if math.isfinite(abs(v)):
+            return v
     except (OverflowError, ValueError):  # e^{-m eps}, or m phi, past the double range
-        v = cmath.inf
-    if not cmath.isfinite(v):
-        raise OverflowError(f"e^(-m(eps {'-' if dotted else '+'} i phi)) at m={m}, "
-                            f"phi={ang.phi}, eps={ang.eps} overflows")
-    return v
+        pass
+    raise OverflowError(f"e^(-m(eps {'-' if dotted else '+'} i phi)) at m={m}, "
+                        f"phi={ang.phi}, eps={ang.eps} overflows")
 
 
 def m_assoc(idx: HypersphIndex, ang: EulerAngles) -> complex:

@@ -223,6 +223,12 @@ def test_grid_axis_validation():
                   {"x1": [0.0, 1.0]})
     with pytest.raises(SizeCapExceeded):
         grid_eval(cfg, base, {"x1": [0.0] * 4000, "x2": [0.0] * 4000})
+    # a count past the index size, which len() cannot return, is refused by
+    # the cap before any value is read
+    axes = {name: [0.5] for name in GRID_AXES}
+    for name in ("x1", "theta"):
+        with pytest.raises(SizeCapExceeded, match=f"grid of {10**23} points exceeds cap"):
+            grid_rows(cfg, {**axes, name: Linspace(0.0, 1.0, 10**23)})
 
 
 def test_plane_wave_enters_with_opposite_signs():

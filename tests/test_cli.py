@@ -3,6 +3,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,11 +12,12 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from poincarewave import GRID_AXES, cli, dirac, hypersph, specfun, verify
+from poincarewave import GRID_AXES, assembly, cli, dirac, hypersph, radial, specfun, verify
 from poincarewave.cli import main
 from poincarewave.halfint import half
 
@@ -610,21 +612,113 @@ def test_corpus_output_digest(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emit_rows_match_the_per_cell_formats(tmp_path, fmt):
-    import numpy as np
-
-    fields = ("i", "a", "b", "c")
-    rows = [(1, -0.0, 5e-324, 1e-310), (2, 1e308, np.float64(1.5), np.float64(-2.5e-320)),
-            (3, 0.1, -1e16, np.float64(1 / 3))]
-    doc = {"command": "t", "inputs": {"x": 0.5}, "rows": iter(rows), "tail": [1e-5]}
+    # axis i is streamed and axis a tabled; a row's value is anything with
+    # .real and .imag, and its cells are its re, im and, with moduli, |v| twice
+    axes = [[1, 2, 3], [-0.0, 1e308]]
+    values = [complex(5e-324, 1e-310), np.float64(1.5), np.float64(-2.5e-320),
+              complex(0.1, -1e16), np.float64(1 / 3), 2]
     path = tmp_path / "out"
-    cli._emit(doc, fmt, str(path), fields)
+    for moduli in (False, True):
+        fields = ("i", "a", "re", "im", *(("abs", "abs_factors") if moduli else ()))
+        rows = [(i, a, v.real, v.imag, *((abs(v), abs(v)) if moduli else ()))
+                for (i, a), v in zip(itertools.product(*axes), values)]
+        doc = {"command": "t", "inputs": {"x": 0.5}, "rows": ((v,) for v in values),
+               "tail": [1e-5]}
+        cli._emit(doc, fmt, str(path), fields, axes, streamed=1, moduli=moduli)
+        if fmt == "json":
+            want = json.dumps({**doc, "rows": [dict(zip(fields, row)) for row in rows]},
+                              indent=2) + "\n"
+        else:
+            want = "".join(",".join(format(float(v), ".17g") if isinstance(v, float)
+                                    else str(v) for v in row) + "\n" for row in [fields, *rows])
+        assert path.read_text() == want, moduli
+
+
+_PSI_FIELDS = tuple(f"{name}_{part}" for name in ("psi1", "psi2", "psi1_dot", "psi2_dot")
+                    for part in ("re", "im", "abs", "abs_factors"))
+
+
+def _expected_text(fmt, doc, fields, rows):
     if fmt == "json":
-        want = json.dumps({**doc, "rows": [dict(zip(fields, row)) for row in rows]},
+        return json.dumps({**doc, "rows": [dict(zip(fields, row)) for row in rows]},
                           indent=2) + "\n"
+    return "".join(",".join(format(v, ".17g") if isinstance(v, float) else v for v in row)
+                   + "\n" for row in [fields, *rows])
+
+
+def _linspace(spec):
+    lo, hi, n = spec.split(":")
+    return [float(v) for v in np.linspace(float(lo), float(hi), int(n))]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_grid_cells_match_the_per_cell_formats(capsys, fmt):
+    # eps holds 0.0 and -0.0, so text looked up by value would print one
+    # for the other; keys run from subnormal to 1e308, values near 1e307;
+    # each side of the grid has a swept and a one-value axis
+    wf = {"x1": "-1e-310:1:2", "x2": "5e-324", "x3": "1e308", "x4": "0.25",
+          "phi": "-0.7", "eps": "0:-0.0:2", "theta": "1.1", "tau": "0.5:2:2"}
+    code, out, _ = run(capsys, *_WF, "--px", "0.3", "--c1", "1e307", "--format", fmt,
+                       *(f"--{name}={spec}" for name, spec in wf.items()))
+    assert code == 0
+    rp = radial.RadialParams(kappa=0.5 + 0j, kappa_dot=0.5 + 0j, C1=1e307 + 0j, C2=0j,
+                             l=half(1), l_dot=half(1))
+    cfg = assembly.SpinConfig(p=dirac.FourMomentum.on_shell(0.3, 0.0, 0.75, 1.0), r=1, rp=rp,
+                              radius=1.0)
+    axes = [_linspace(spec) if ":" in spec else [float(spec)] for spec in wf.values()]
+    rows = []
+    for point in itertools.product(*axes):
+        ang = hypersph.EulerAngles(*point[4:])
+        psi = assembly.bispinor(cfg, assembly.GroupPoint(point[:4], ang)).as_tuple()
+        rows.append((*point, *(c for v in psi for c in (v.real, v.imag, abs(v), abs(v)))))
+    assert len(rows) == 8 and {math.copysign(1.0, row[5]) for row in rows} == {1.0, -1.0}
+    doc = {"command": "wavefunction", "inputs": json.loads(out)["inputs"]} if fmt == "json" else {}
+    assert out == _expected_text(fmt, doc, (*GRID_AXES, *_PSI_FIELDS), rows)
+
+    hs = {"theta": "1e-310:3:2", "tau": "1405", "phi": "1e308", "eps": "0:-0.0:2"}
+    code, out, _ = run(capsys, "hypersph", "--l", "1/2", "--m", "1/2", "--format", fmt,
+                       *(f"--{name}={spec}" for name, spec in hs.items()))
+    assert code == 0
+    idx = hypersph.HypersphIndex(half(1), half(1))
+    axes = [_linspace(spec) if ":" in spec else [float(spec)] for spec in hs.values()]
+    rows = []
+    for theta, tau, phi, eps in itertools.product(*axes):
+        v = hypersph.m_assoc(idx, hypersph.EulerAngles(phi=phi, eps=eps, theta=theta, tau=tau))
+        rows.append((theta, tau, phi, eps, v.real, v.imag))
+    assert max(abs(row[4]) for row in rows) > 1e306
+    doc = {"command": "hypersph", "inputs": {"l": "1/2", "m": "1/2", "dotted": False}}
+    assert out == _expected_text(fmt, doc, ("theta", "tau", "phi", "eps", "re", "im"), rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_each_axis_value_and_modulus_rendered_once(tmp_path, monkeypatch, fmt):
+    # the angles once per command, x1 once per x1 value, x2 and x3 once per
+    # x1 value, x4 once per row, and each |psi_i| once per row
+    rendered = []
+    render = cli._RENDER[fmt]
+
+    def counting(v):
+        rendered.append(v)
+        return render(v)
+
+    monkeypatch.setitem(cli._RENDER, fmt, counting)
+    path = tmp_path / "out"
+    angles = {"phi": 0.7, "eps": -0.2, "theta": 1.1, "tau": 1.25}
+    assert main([*_WF, "--x1=0:1:3", "--x2=0.25", "--x3=0.375", "--x4=-1:1:4",
+                 *(f"--{name}={v}" for name, v in angles.items()),
+                 f"--format={fmt}", f"--out={path}"]) == 0
+    text = path.read_text()
+    if fmt == "json":
+        rows = json.loads(text)["rows"]
     else:
-        want = "".join(",".join(format(float(v), ".17g") if isinstance(v, float) else str(v)
-                                for v in row) + "\n" for row in [fields, *rows])
-    assert path.read_text() == want
+        header, *lines = text.splitlines()
+        rows = [dict(zip(header.split(","), map(float, line.split(",")))) for line in lines]
+    assert len(rows) == 12
+    moduli = [row[field] for row in rows for field in _PSI_FIELDS if field.endswith("_abs")]
+    x1s, x4s = _linspace("0:1:3"), _linspace("-1:1:4")
+    want = [*angles.values(), *x1s, *[0.25, 0.375] * 3, *x4s * 3, *moduli]
+    assert len(rendered) == 4 + 3 + 6 + 12 + 48
+    assert collections.Counter(rendered) == collections.Counter(want)
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):
@@ -685,6 +779,11 @@ def test_import_builds_no_parser():
     # a kernel and a phase both overflow: the kernel table is built first
     ((*_WF, "--tau=1:1410:2", "--eps", "1e6"),
      "Z^1/2_1/2(theta=1.5707963267948966, tau=1410.0) overflows"),
+    # both parts of the phase finite, its modulus past the double range
+    (("hypersph", "--l", "1/2", "--m", "-1/2", "--eps", "1420", "--phi", "1.5707963267948966"),
+     "at m=-1/2, phi=1.5707963267948966, eps=1420.0 overflows"),
+    ((*_WF, "--eps", "1420", "--phi", "1.5707963267948966"),
+     "at m=-1/2, phi=1.5707963267948966, eps=1420.0 overflows"),
 ])
 def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
