@@ -16,7 +16,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
@@ -99,16 +99,95 @@ def _term_params(idx: HypersphIndex, k: HalfInt):
 class KernelTerm(NamedTuple):
     """The k-term i^n tan^n(theta/2) tanh^{-k}(tau/2) F_theta F_tau, n = m - k.
 
-    ``theta`` is F_theta as a function of -tan^2(theta/2), ``tau`` is F_tau
-    as a function of tanh^2(tau/2); None marks the l = 1/2 factor that
-    ``z_assoc`` takes in closed form.
+    ``theta`` is F_theta as a function of x = -tan^2(theta/2), ``tau`` is
+    F_tau as a function of y = tanh^2(tau/2) and tau: a ``GaussSeries``,
+    or one that switches to a closed form past 1/2 (``_theta_factor``,
+    ``_tau_factor``).  None marks the l = 1/2 factor that ``z_assoc``
+    takes in closed form.
     """
 
     unit: complex  # i^n
     n: int
     exponent: float  # -k
-    theta: GaussSeries | None
-    tau: GaussSeries | None
+    theta: Callable[[complex], complex | float] | None
+    tau: Callable[[complex, float], complex | float] | None
+
+
+def _theta_factor(series: GaussSeries):
+    """F_theta for ``series``: the series itself, but for the non-terminating
+    2F1(1, 1; c; -t^2) of m = l, c = 2l + 1 >= 3 (l = 0's (1, 1; 1) has a
+    terminating Pfaff partner).  That one is summed through its Pfaff
+    partner, whose ratio tends to z = t^2/(1 + t^2), while z < 1/2, and
+    past that taken in closed form (DLMF 15.8.1 with 15.4.2's log series):
+    (c - 1) [log(1 + t^2) - sum_{k=1}^{c-2} z^k/k] / ((1 + t^2) z^{c-1}).
+    """
+    if series.jmax is not None or series.c < 3.0:
+        return series
+    c = round(series.c)
+
+    def factor(x: complex) -> complex | float:
+        t2 = -x.real
+        if t2 < 1.0:  # z < 1/2
+            return series(x)
+        z = t2 / (1.0 + t2)
+        # the bracket cancels up to ~350-fold (c = 8, z = 1/2), so there its
+        # log is that of the rounded z; far out z rounds to 1
+        parts = [-math.log1p(-z) if t2 < 4.0 else math.log1p(t2)]
+        zk = 1.0
+        for k in range(1, c - 1):
+            zk *= z
+            parts.append(-zk / k)
+        return (c - 1) * math.fsum(parts) / ((1.0 + t2) * zk * z)
+
+    return factor
+
+
+def _tau_factor(series: GaussSeries):
+    """F_tau for ``series``: the series itself, but for the two kinds that
+    do not terminate or that cancel as y = h^2 = tanh^2(tau/2) -> 1.  Those
+    are summed while y < 1/2 and past that taken from tau, in powers of
+    E = e^{-tau}, so they hold where h rounds to 1:
+    - 2F1(1, 1; 1; y) = cosh^2(tau/2), the k = 0 factor of l = 0;
+    - 2F1(1 - l, 1; 1 + l; y), the k = -l factor of l = n + 1/2, is
+      l [(-1)^n C(2n, n) tau E^{2n} + sum_{j=1}^{n} (-1)^{n-j} C(2n, n-j)
+      (E^{2(n-j)} - E^{2(n+j)})/(2j)] / (h^{2n+1} (1 + E)^{4n}) (DLMF
+      15.8.1 and 8.17.8, the integral of sinh^{2n}), whose denominator is
+      (1 - E^2)^{2n-1} (1 - E)^2 since h (1 + E) = 1 - E;
+    - 2F1(1 - l, 1 - 2l; 1 - l; y) = (1 - y)^{2l-1} = sech^{4l-2}(tau/2),
+      the k = l factor of half-integer l >= 3/2 (DLMF 15.4.6), with
+      sech^2(tau/2) = 4E/(1 + E)^2.
+    """
+    a, b, c = series.a, series.b, series.c
+    if series.jmax is None and c == 1.0:
+        def form(tau: float) -> float:
+            ch = math.cosh(0.5 * tau)
+            return ch * ch
+    elif series.jmax is None:
+        n = round(c - 1.5)
+        head = (-1) ** n * math.comb(2 * n, n)
+        coefs = [(-1) ** (n - j) * math.comb(2 * n, n - j) / (2 * j) for j in range(1, n + 1)]
+
+        def form(tau: float) -> float:
+            e = math.exp(-tau)
+            e2 = e * e
+            pw = [1.0]  # E^{2j}, j = 0 ... 2n
+            for _ in range(2 * n):
+                pw.append(pw[-1] * e2)
+            s = head * tau * pw[n]
+            for j, coef in enumerate(coefs, 1):
+                s += coef * (pw[n - j] - pw[n + j])
+            return (c - 1.0) * s / ((1.0 - e2) ** (2 * n - 1) * (1.0 - e) ** 2)
+    elif a == c and b <= -2.0 and a != round(a):
+        def form(tau: float) -> float:
+            e = math.exp(-tau)
+            return (4.0 * e / ((1.0 + e) * (1.0 + e))) ** -b
+    else:
+        return series
+
+    def factor(y: complex, tau: float) -> complex | float:
+        return series(y) if y.real < 0.5 else form(tau)
+
+    return factor
 
 
 def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
@@ -134,8 +213,10 @@ def _compiled_plan(l_twice: int, m_twice: int) -> tuple[KernelTerm, ...]:
             n = (idx.m.twice - k.twice) // 2  # m - k, an integer
             a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
             # the two non-terminating triples of l = 1/2 (see z_assoc)
-            theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else GaussSeries(a1, b1, c1)
-            tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else GaussSeries(a2, b2, c2)
+            theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else _theta_factor(
+                GaussSeries(a1, b1, c1))
+            tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else _tau_factor(
+                GaussSeries(a2, b2, c2))
             terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
     except PoleInDenominator as exc:
         raise PoleInDenominator(f"{exc}; {_EVALUABLE_RULE}") from None
@@ -179,15 +260,20 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     underflows to 0 only where the series is 1 to double precision, and
     2F1(1/2, 1; 3/2; h^2) = atanh(h)/h = (tau/2)/h (DLMF 15.4.3), taken
     from tau itself since h rounds to 1 for tau >~ 38.  Every other factor
-    is a compiled ``GaussSeries``.  The non-terminating ones sit at k = -l
-    (and at l = 0); near their endpoints they slow and then raise
-    TermCapExceeded (the theta factor of m = l as theta -> pi) or
-    NonConvergent (the tau factor of l >= 3/2 once tanh^2(tau/2) rounds to
-    1).  A prefactor that is not finite, or a result whose modulus is not,
-    raises OverflowError naming the point, and so does a k-term power tan^{m-k}(theta/2) or
-    tanh^{-k}(tau/2) that overflows or divides by 0 (m - k < 0 as theta
-    -> 0, k > 0 as tau -> 0), and a tau so small that tanh(tau/2)
-    underflows to 0 (tau = 5e-324) when l > 0.
+    is a compiled ``GaussSeries``, but for the non-terminating ones of
+    other l (the theta factor of m = l and the tau factor of l = 0 and of
+    half-integer l, all at k = -l) and the k = l tau factor of half-integer
+    l >= 3/2, a polynomial that cancels as tanh^2(tau/2) -> 1.  These are
+    elementary too: each is its series while its argument (sin^2(theta/2),
+    through the Pfaff map, or tanh^2(tau/2)) is below 1/2, where the series
+    converges in a few dozen terms, and a closed form in t^2 or tau past
+    that (``_theta_factor``, ``_tau_factor``).  So no series runs to its
+    term cap or meets |x| = 1, and besides DomainError and PoleInDenominator
+    the kernel raises only OverflowError naming the point: for a prefactor
+    that is not finite, a result whose modulus is not, a k-term power
+    tan^{m-k}(theta/2) or tanh^{-k}(tau/2) that overflows or divides by 0
+    (m - k < 0 as theta -> 0, k > 0 as tau -> 0), and a tau so small that
+    tanh(tau/2) underflows to 0 (tau = 5e-324) when l > 0.
     """
     _check_open_domain(theta, tau)
     return _z(idx, kernel_plan(idx), theta, tau)
@@ -218,7 +304,7 @@ def _z(idx: HypersphIndex, plan: tuple[KernelTerm, ...], theta: float, tau: floa
         term = (
             power
             * (theta_f(x) if theta_f is not None else (math.log1p(t2) / t2 if t2 else 1.0))
-            * (tau_f(y) if tau_f is not None else (0.5 * tau) / h)
+            * (tau_f(y, tau) if tau_f is not None else (0.5 * tau) / h)
         )
         yv = term - comp
         tv = total + yv

@@ -21,9 +21,11 @@ from .halfint import HalfInt
 
 SERIES_RELTOL = 1e-16
 SERIES_TERM_CAP = 10**6
-# Term ratios a GaussSeries keeps.  The non-terminating kernel factors of
-# l = 7/2, m = 7/2 need about 300 terms at theta = 2.5; verify runs series
-# of ~10^4 terms, which a cap keeps from being stored.
+# Term ratios a GaussSeries keeps.  The kernel sums its non-terminating
+# factors only while their ratio is below 1/2, in at most ~60 terms, and
+# takes them in closed form past that; a series called directly near
+# x = 1 (``hyp2f1``, tests) runs to ~10^4 terms or to SERIES_TERM_CAP,
+# which the cap keeps from being stored.
 RATIO_CACHE_CAP = 512
 
 
@@ -98,7 +100,9 @@ class GaussSeries:
             self._pfaff = GaussSeries(self.a, self.c - self.b, self.c)
         return self._pfaff
 
-    def __call__(self, x: complex) -> complex:
+    def __call__(self, x: complex, _angle: float | None = None) -> complex:
+        # _angle is ignored: the kernel plan calls its tau factors with tau
+        # too, since some of them switch to a closed form in tau
         x = complex(x)
         if self.jmax is not None:
             s = term = 1.0 + 0.0j
@@ -164,8 +168,8 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
 
     This compiles a ``GaussSeries`` and calls it once; the Lorentz kernel
     (``hypersph.z_assoc``) keeps its compiled series in a per-index plan
-    instead, and takes its two l = 1/2 factors that would hit the x -> 1
-    limit in closed form.
+    instead, and takes its factors that would near the x -> 1 limit in
+    closed form.
     """
     return GaussSeries(a, b, c)(x)
 

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -98,7 +99,7 @@ def test_hypersph_singular_pair_exit_2(capsys):
             "reached before series termination; Z^l_m is evaluable for every m at "
             "l in {0, 1/2, 1}, for m = -l or m >= l - 1 at half-integer l >= 3/2, "
             "and for no m at integer l >= 2\n")
-    # at tau = 50 the k = -3/2 tau series before the pole cannot converge
+    # at tau = 50 the k = -3/2 tau factor before the pole is never evaluated
     for argv in (("--l", "3/2", "--m=-1/2"), ("--l", "3/2", "--m=-1/2", "--tau", "50")):
         code, out, err = run(capsys, "hypersph", *argv)
         assert (code, out, err) == (2, "", pole), argv
@@ -209,6 +210,22 @@ def test_half_kernel_tail_writes_finite_json(capsys):
                             if isinstance(v, float))
 
 
+@pytest.mark.parametrize("l2, m2, argv", [
+    (2, 2, ("--theta", "3.14")),  # the m = l theta series ran to the term cap
+    (3, -3, ("--tau", "50")),  # tanh^2(tau/2) rounds to 1 under the tau series
+    (0, 0, ("--tau", "12")),  # the geometric l = 0 tau series ran to the term cap
+])
+def test_kernel_tail_points_exit_0_near_the_oracle(capsys, l2, m2, argv):
+    idx = hypersph.HypersphIndex(half(l2), half(m2))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "hypersph", "--l", str(idx.l), f"--m={idx.m}", *argv)
+    assert time.perf_counter() - t0 < 0.3
+    assert (code, err) == (0, "")
+    row = json.loads(out)["rows"][0]
+    want = verify.z_assoc_oracle(idx, row["theta"], row["tau"])  # phi = eps = 0
+    assert complex(row["re"], row["im"]) == pytest.approx(want, rel=1e-12)
+
+
 def test_wavefunction_factor_overflow_exit_2(capsys):
     base = ("wavefunction", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5", "--tau", "1400")
     for argv, why in (
@@ -256,26 +273,31 @@ def test_kernel_term_power_overflow_exit_2_naming_the_point(capsys, argv, point)
 
 def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys):
     # each theta factor of the plan runs once per theta, each tau factor once
-    # per tau, and no kernel is evaluated point by point
+    # per tau, closed forms included, and no kernel is evaluated point by point
     idx = hypersph.HypersphIndex(half(7), half(5))
-    plan = hypersph.kernel_plan(idx)
     calls = collections.Counter()
-    series_call = specfun.GaussSeries.__call__
 
-    def counting(self, x):
-        calls[id(self), x] += 1
-        return series_call(self, x)
+    def counted(f):
+        def factor(*args):
+            calls[id(f), args] += 1
+            return f(*args)
+        return factor
 
-    monkeypatch.setattr(specfun.GaussSeries, "__call__", counting)
+    plan = hypersph.kernel_plan(idx)
+    counting = tuple(term._replace(theta=counted(term.theta), tau=counted(term.tau))
+                     for term in plan)
+    monkeypatch.setattr(hypersph, "kernel_plan", lambda _: counting)
     monkeypatch.setattr(hypersph, "z_assoc", lambda *args: pytest.fail("pointwise z_assoc"))
     thetas, taus = (0.5, 1.5, 2.5), (0.5, 2.0)
     code, out, _ = run(capsys, "hypersph", "--l", "7/2", "--m", "5/2", "--theta", "0.5:2.5:3",
                        "--tau", "0.5:2:2", "--phi", "-1:2:3", "--eps", "-0.5:0.5:2")
     assert code == 0
     expected = {key: 1 for term in plan for key in (
-        *((id(term.theta), complex(-math.tan(0.5 * th) ** 2)) for th in thetas),
-        *((id(term.tau), complex(math.tanh(0.5 * ta) ** 2)) for ta in taus))}
-    assert len(expected) == 8 * (3 + 2)  # 8 k-terms, none a closed form
+        *((id(term.theta), (complex(-math.tan(0.5 * th) ** 2),)) for th in thetas),
+        *((id(term.tau), (complex(math.tanh(0.5 * ta) ** 2), ta)) for ta in taus))}
+    # 8 k-terms, none the l = 1/2 closed form; at tau = 2 the k = -7/2 and
+    # k = 7/2 tau factors are closed forms
+    assert len(expected) == 8 * (3 + 2)
     assert calls == expected
     monkeypatch.undo()
     rows = json.loads(out)["rows"]
@@ -570,7 +592,11 @@ def test_spinor_and_verify_exit_0_or_1_with_finite_json_or_2_with_one_error_line
 # A fixed corpus of commands, each run in both formats, to stdout and with
 # --out.  Its digest was recorded before rows were written with one format
 # operation each and the parser was built once per process, so it pins the
-# bytes and exit codes of the CLI across that change.
+# bytes and exit codes of the CLI across that change.  It was recorded
+# again when the kernel's k = -l and k = l tau factors of l = 7/2 became
+# closed forms past tanh^2(tau/2) = 1/2: only the two l = 7/2 cells at
+# (theta, tau) = (2.5, 2) moved, each by a few ulp, and both old and new
+# values are within 7e-16 of the mpmath oracle.
 _WF = ("wavefunction", "--m", "1", "--pz", "0.75", "--l", "1/2", "--kappa", "0.5",
        "--kappa-dot", "0.5")
 _CORPUS = (
@@ -592,7 +618,7 @@ _CORPUS = (
      "--tau", "1e-3:20:2"),
     (*_WF, "--theta", "0"),
 )
-_CORPUS_SHA256 = "39714c713094415f438ec7c30f5284bb974f674183a6cae904415e5aff34c8b1"
+_CORPUS_SHA256 = "20347fd21fd14b7eca45878162d375e96d19bcd7c6cbf6fc17d69a9c7cc5e36f"
 
 
 def test_corpus_output_digest(tmp_path, capsys):

@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from poincarewave.errors import DomainError, InvalidIndex, NonConvergent, PoleInDenominator
+from poincarewave import hypersph
+from poincarewave.errors import DomainError, InvalidIndex, PoleInDenominator
 from poincarewave.halfint import HalfInt, half
 from poincarewave.hypersph import (
     EulerAngles,
@@ -25,6 +26,7 @@ from poincarewave.verify import hypersph_index_sweep
 GOLDEN_HALF_HALF = 1.1729352093275558 + 0.4065083666624422j  # l=m=1/2, theta=pi/2, tau=1
 GOLDEN_HALF_MINUS = 0.5864676046637778 - 1.1729352093275558j  # l=1/2, m=-1/2, same point
 GOLDEN_ONE_ZERO = 0.8456883771116035 - 4.190344839203636j  # l=1, m=0, theta=pi/3, tau=0.7
+EVALUABLE = [idx for idx, evaluable in hypersph_index_sweep() if evaluable]  # l <= 7/2
 
 
 def test_index_validation():
@@ -189,25 +191,95 @@ def test_half_kernel_matches_oracle_into_the_tails(m):
             assert z_assoc(idx, theta, tau) == pytest.approx(want, rel=1e-12), (theta, tau)
 
 
-def test_half_kernel_sums_no_non_terminating_series():
-    # z_assoc evaluates exactly the factors of the index's plan: a closed
-    # form (None) or a compiled GaussSeries
+# theta -> pi and tau out to 50 for every evaluable index, where summing the
+# k = -l factors of l >= 1 as series would run out of terms or meet |x| = 1
+ALL_TAIL_THETAS = (1e-4, 0.5, math.pi / 2, 2.0, 2.5, 3.1, 3.137, 3.14, math.pi - 1e-4)
+ALL_TAIL_TAUS = (1.0, 2.0, 4.0, 8.0, 12.0, 13.5, 20.0, 30.0, 50.0)
+
+
+@pytest.mark.parametrize("idx", EVALUABLE, ids=lambda idx: f"l={idx.l},m={idx.m}")
+def test_kernel_matches_oracle_into_the_tails(idx):
+    from poincarewave.verify import z_grid_oracle
+
+    refs = z_grid_oracle(idx, ALL_TAIL_THETAS, ALL_TAIL_TAUS)
+    for theta, row in zip(ALL_TAIL_THETAS, refs):
+        for tau, want in zip(ALL_TAIL_TAUS, row):
+            assert z_assoc(idx, theta, tau) == pytest.approx(want, rel=1e-12), (theta, tau)
+
+
+# the switch: z = t^2/(1 + t^2) = 1/2 at t^2 = 1, tanh^2(tau/2) = 1/2 here
+TAU_SWITCH = 2.0 * math.atanh(math.sqrt(0.5))
+SWITCH_T2 = [*(1.0 + d for d in (-0.2, -1e-3, -1e-12, 0.0, 1e-12, 1e-3)),
+             *np.linspace(1.01, 1.5, 50).tolist(), 3.99, 4.0, 10.0, 1e4, 1e16, 1e32]
+SWITCH_TAUS = [*(TAU_SWITCH + d for d in (-0.3, -1e-3, -1e-12, 0.0, 1e-12, 1e-3)),
+               *np.linspace(1.8, 3.0, 25).tolist(), 8.0, 20.0, 38.0, 50.0]
+
+
+@pytest.mark.parametrize("c", range(3, 9))
+def test_theta_closed_form_matches_mpmath_on_both_sides_of_its_switch(c):
+    import mpmath as mp
+
+    factor = hypersph._theta_factor(GaussSeries(1.0, 1.0, float(c)))
+    for t2 in SWITCH_T2:
+        want = mp.hyp2f1(1, 1, c, -mp.mpf(t2))
+        assert factor(complex(-t2)) == pytest.approx(complex(want), rel=1e-13), t2
+
+
+@pytest.mark.parametrize("abc", [
+    (1.0, 1.0, 1.0),  # l = 0: cosh^2(tau/2)
+    *((0.5 - n, 1.0, 1.5 + n) for n in range(4)),  # k = -l, l = n + 1/2
+    *((0.5 - n, -2.0 * n, 0.5 - n) for n in range(1, 4)),  # k = l: sech^{4n}(tau/2)
+], ids=str)
+def test_tau_closed_form_matches_mpmath_on_both_sides_of_its_switch(abc):
+    import mpmath as mp
+
+    factor = hypersph._tau_factor(GaussSeries(*abc))
+    for tau in SWITCH_TAUS:
+        with mp.workdps(60):
+            want = mp.hyp2f1(*abc, mp.tanh(mp.mpf(tau) / 2) ** 2)
+        h = math.tanh(0.5 * tau)
+        assert factor(complex(h * h), tau) == pytest.approx(complex(want), rel=1e-13), tau
+
+
+def test_slow_tau_factor_is_not_truncated_early():
+    # 2F1(-1/2, 1; 5/2; tanh^2(10)), the k = -3/2 tau factor of l = 3/2 at
+    # tau = 20: its series stopped after 170,917 terms, 8.3e-12 off
+    import mpmath as mp
+
+    factor = kernel_plan(HypersphIndex(half(3), half(-3)))[0].tau
+    h = math.tanh(10.0)
+    with mp.workdps(40):
+        want = complex(mp.hyp2f1(-0.5, 1, 2.5, mp.tanh(10) ** 2))
+    assert factor(complex(h * h), 20.0) == pytest.approx(want, rel=1e-14)
+
+
+def test_no_plan_holds_a_bare_non_terminating_series():
+    # z_assoc evaluates exactly the factors of the index's plan.  Each is a
+    # closed form (None, at l = 1/2), a series that stops after a fixed
+    # number of terms, or one that switches to a closed form past 1/2
     def factors(idx):
         return [f for term in kernel_plan(idx) for f in (term.theta, term.tau)]
 
+    switched = 0
+    for idx in EVALUABLE:
+        for f in factors(idx):
+            if isinstance(f, GaussSeries):
+                # l = 0's theta factor 2F1(1, 1; 1; -t^2) has the Pfaff
+                # partner (1, 0; 1), which every negative argument takes
+                assert f.jmax is not None or f.pfaff().jmax is not None, (idx, f.a, f.b, f.c)
+            else:
+                switched += f is not None
+    # theta: m = l at l in {1, 3/2, 5/2, 7/2}; tau: k = -l at l = 0 and, for
+    # each of the 3 evaluable m, at l in {3/2, 5/2, 7/2}, and k = l there too
+    assert switched == 4 + (1 + 3 * 3) + 3 * 3
     for m in (1, -1):
         fs = factors(HypersphIndex(half(1), half(m)))
-        assert fs and all(f is None or (isinstance(f, GaussSeries) and f.jmax is not None)
-                          for f in fs)
-    # every other l keeps the series, the non-terminating ones included
-    assert any(isinstance(f, GaussSeries) and (f.a, f.b, f.c, f.jmax) == (1.0, 1.0, 3.0, None)
-               for f in factors(HypersphIndex(half(2), half(2))))
+        assert all(f is None or f.jmax is not None for f in fs)
 
 
 # verify's 20 x 20 grid, with tail values appended: theta near 0 and pi, small tau
 GRID_THETAS = [*np.linspace(0.1, math.pi - 0.1, 20).tolist(), 1e-8, 1e-4, 3.0]
 GRID_TAUS = [*np.linspace(0.1, 5.0, 20).tolist(), 1e-12, 1e-4]
-EVALUABLE = [idx for idx, evaluable in hypersph_index_sweep() if evaluable]  # l <= 7/2
 
 
 def _outcome(fn, *args):
@@ -244,11 +316,10 @@ def test_half_grid_matches_pointwise_up_to_the_overflow(m):
     (1, 1, None, 1409.5731128551818, OverflowError),  # both parts finite, the modulus not
     (7, 7, None, 800.0, OverflowError),  # cosh(tau/2)**7 overflows
     (0, 0, None, 1500.0, OverflowError),  # cosh(tau/2) overflows
-    (3, -3, None, 50.0, NonConvergent),  # tanh^2(tau/2) rounds to 1
     (3, -3, 1e-300, None, OverflowError),  # tan^n(theta/2), n < 0, overflows
     (2, -2, 5e-324, None, OverflowError),  # tan(theta/2) = 0 to a power n < 0
     (7, 7, None, 1e-200, OverflowError),  # tanh^{-k}(tau/2), k > 0, overflows
-    (3, -3, 1e-300, 50.0, NonConvergent),  # the tau factor comes first
+    (3, -3, 1e-300, 800.0, OverflowError),  # the prefactor cosh^3(tau/2) comes first
     (1, 1, 0.0, None, DomainError),
     (1, 1, None, 0.0, DomainError),
     (3, -1, None, None, PoleInDenominator),
@@ -269,34 +340,54 @@ def test_grid_with_a_bad_point_raises_the_pointwise_error(lt, mt, bad_theta, bad
 
 def test_grid_raises_the_error_of_its_first_failing_point():
     # l = 3/2, m = -3/2: at theta = 1e-300 the k = 1/2 term's tan^{-2}(theta/2)
-    # overflows; at tau = 50 the k = -3/2 term's tau factor, summed first,
-    # raises NonConvergent.  (1e-300, 1.0) comes first in row order.
+    # overflows; at tau = 800 the prefactor cosh^3(tau/2) does, before any
+    # term.  (1e-300, 1.0) comes first in row order.
     idx = HypersphIndex(half(3), half(-3))
-    thetas, taus = [1e-300, 1.0], [1.0, 50.0]
+    thetas, taus = [1e-300, 1.0], [1.0, 800.0]
     first = _outcome(z_assoc, idx, 1e-300, 1.0)
     assert first == (OverflowError, "Z^3/2_-3/2(theta=1e-300, tau=1.0) overflows")
-    assert _outcome(z_assoc, idx, 1e-300, 50.0)[0] is NonConvergent
+    for theta in thetas:
+        assert _outcome(z_assoc, idx, theta, 800.0) == (
+            OverflowError, f"Z^3/2_-3/2(theta={theta}, tau=800.0) overflows")
     assert _outcome(z_grid, idx, thetas, taus) == first
 
 
+def test_points_past_the_old_series_limits_evaluate():
+    # tau = 50 rounds tanh^2(tau/2) to 1, where the k = -l tau series of
+    # l = 3/2 cannot converge; at theta = pi - 1e-4 the theta series of
+    # m = l runs to the term cap
+    from poincarewave.verify import z_assoc_oracle
+
+    for lt, mt, theta, tau in ((3, -3, 1.0, 50.0), (3, -3, 1e-3, 50.0), (0, 0, 2.5, 50.0),
+                               (3, 3, math.pi - 1e-4, 1.0), (7, 7, math.pi - 1e-4, 50.0)):
+        idx = HypersphIndex(half(lt), half(mt))
+        want = z_assoc(idx, theta, tau)
+        assert z_grid(idx, [0.5, theta, 2.5], [0.5, tau, 2.0])[1][1] == want
+        assert want == pytest.approx(z_assoc_oracle(idx, theta, tau), rel=1e-12), (lt, mt)
+
+
 def test_grid_sums_each_series_once_per_value_and_call(monkeypatch):
+    # tau = 2.0 puts tanh^2(tau/2) past 1/2, so the k = -7/2 and k = 7/2 tau
+    # factors are closed forms there and series at tau = 0.5
     idx = HypersphIndex(half(7), half(5))
     thetas, taus = [0.5, 1.5, 2.5], [0.5, 2.0]
+    want = z_grid(idx, thetas, taus)
     calls = []
-    series_call = GaussSeries.__call__
 
-    def counting(self, x):
-        calls.append((id(self), x))
-        return series_call(self, x)
+    def counted(f):  # notes (factor, arguments) on every evaluation
+        def factor(*args):
+            calls.append((id(f), args))
+            return f(*args)
+        return factor
 
-    monkeypatch.setattr(GaussSeries, "__call__", counting)
-    grids = []
+    plan = tuple(term._replace(theta=counted(term.theta), tau=counted(term.tau))
+                 for term in kernel_plan(idx))
+    monkeypatch.setattr(hypersph, "kernel_plan", lambda _: plan)
     for _ in range(2):
         calls.clear()
-        grids.append(z_grid(idx, thetas, taus))
-        # 8 k-terms, each with a theta and a tau series: one call per value
+        assert z_grid(idx, thetas, taus) == want
+        # 8 k-terms, each with a theta and a tau factor: one call per value
         assert len(calls) == len(set(calls)) == 8 * (len(thetas) + len(taus))
-    assert grids[0] == grids[1]
 
 
 def test_vanishing_tanh_is_refused_naming_tau():

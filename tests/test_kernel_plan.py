@@ -2,7 +2,8 @@
 
 ``reference_z_assoc`` below is the kernel as it was before the plan: it
 re-derives every term parameter, pole check and Gauss ratio on each call
-and shares no code with ``specfun.GaussSeries``.  The plan must give the
+and shares no code with ``specfun.GaussSeries``.  It writes out the closed
+forms the plan switches to past 1/2 on its own.  The plan must give the
 same bits and raise the same errors.
 """
 
@@ -100,15 +101,43 @@ def _ref_term_params(idx, k):
 
 
 def _ref_theta_factor(a, b, c, t):
+    t2 = t * t
     if (a, b, c) == (1.0, 1.0, 2.0):
-        t2 = t * t
         return math.log1p(t2) / t2 if t2 else 1.0
+    if (a, b) == (1.0, 1.0) and c >= 3.0 and t2 >= 1.0:
+        # 2F1(1, 1; c; -t^2) = (c - 1) [log(1 + t^2) - sum_{k=1}^{c-2} z^k/k]
+        # / ((1 + t^2) z^{c-1}), z = t^2/(1 + t^2) >= 1/2
+        z = t2 / (1.0 + t2)
+        powers = [z]
+        while len(powers) < c - 2:
+            powers.append(powers[-1] * z)
+        log = -math.log1p(-z) if t2 < 4.0 else math.log1p(t2)
+        bracket = math.fsum([log, *(-zk / k for k, zk in enumerate(powers, 1))])
+        return (c - 1.0) * bracket / ((1.0 + t2) * powers[-1] * z)
     return _ref_hyp2f1(a, b, c, -t * t)
 
 
 def _ref_tau_factor(a, b, c, tau, h):
     if (a, b, c) == (0.5, 1.0, 1.5):
         return (0.5 * tau) / h
+    terminating = _ref_termination_index(a, b) is not None
+    if h * h < 0.5:
+        return _ref_hyp2f1(a, b, c, h * h)
+    e = math.exp(-tau)
+    if (a, b, c) == (1.0, 1.0, 1.0):  # cosh^2(tau/2)
+        return math.cosh(0.5 * tau) ** 2
+    if not terminating:  # (1 - l, 1; 1 + l), l = n + 1/2
+        n = round(c - 1.5)
+        e2n = [e * e]
+        while len(e2n) < 2 * n:
+            e2n.append(e2n[-1] * e * e)
+        e2n.insert(0, 1.0)  # E^{2j}, j = 0 ... 2n
+        s = (-1) ** n * math.comb(2 * n, n) * tau * e2n[n]
+        for j in range(1, n + 1):
+            s += (-1) ** (n - j) * math.comb(2 * n, n - j) / (2 * j) * (e2n[n - j] - e2n[n + j])
+        return (c - 1.0) * s / ((1.0 - e * e) ** (2 * n - 1) * (1.0 - e) ** 2)
+    if a == c and b <= -2.0 and a != round(a):  # (1 - l, 1 - 2l; 1 - l) = sech^{4l-2}
+        return (4.0 * e / ((1.0 + e) * (1.0 + e))) ** -b
     return _ref_hyp2f1(a, b, c, h * h)
 
 
@@ -237,18 +266,17 @@ def test_evaluable_classification_matches_pole_checks():
 
 
 def test_ratio_prefix_stays_within_the_cap():
-    # l = 1, m = 1: the k = -1 theta factor is the non-terminating
-    # 2F1(1, 1; 3; -t^2), summed through its Pfaff partner (1, 2; 3); near
-    # theta = 3 that runs to ~10^4 terms
-    idx = HypersphIndex(half(2), half(2))
-    series = kernel_plan(idx)[0].theta
-    assert (series.a, series.b, series.c, series.jmax) == (1.0, 1.0, 3.0, None)
-    z_assoc(idx, 3.0, 1.0)
+    # 2F1(1, 1; 3; -t^2), the k = -1 theta factor of l = m = 1, summed as a
+    # series through its Pfaff partner (1, 2; 3); at theta = 3 that runs to
+    # ~10^4 terms.  The kernel takes it in closed form there.
+    series = specfun.GaussSeries(1.0, 1.0, 3.0)
+    assert series.jmax is None
+    series(complex(-math.tan(1.5) ** 2))
     partner = series.pfaff()
     assert len(partner.ratios) == specfun.RATIO_CACHE_CAP
     # a run to the term cap keeps nothing past the cap either
     with pytest.raises(TermCapExceeded):
-        z_assoc(idx, math.pi - 1e-3, 1.0)
+        series(complex(-math.tan(0.5 * (math.pi - 1e-3)) ** 2))
     assert len(partner.ratios) == specfun.RATIO_CACHE_CAP
 
 
@@ -281,9 +309,9 @@ def test_each_call_raises_a_fresh_pole_error():
 
 
 def test_pole_raised_before_any_series_is_summed(monkeypatch):
-    # l = 3/2, m = -1/2: the k = -3/2 tau series comes before the pole; at
-    # tau = 50 it cannot converge, at tau = 14.9 it sums for ~0.07 s
-    def no_series(self, x):
+    # l = 3/2, m = -1/2: the k = -3/2 tau factor comes before the pole; the
+    # plan is refused before any factor, series or closed form, is built
+    def no_series(self, *args):
         raise AssertionError("a series was summed")
 
     monkeypatch.setattr(specfun.GaussSeries, "__call__", no_series)
