@@ -18,7 +18,12 @@ class NonConvergent(ArithmeticError):
 
 
 class TermCapExceeded(ArithmeticError):
-    """Series failed to reach the target relative tolerance within the term cap."""
+    """A Gauss series needs more than ``specfun.SERIES_TERM_CAP`` terms.
+
+    Raised when a polynomial of a higher degree is compiled, or when a
+    non-terminating series has not reached its relative tolerance within
+    the cap.
+    """
 
 
 class NonPositiveArgument(DomainError):

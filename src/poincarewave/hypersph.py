@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
-from .specfun import GaussSeries
+from .specfun import GaussSeries, _check_pole
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -197,29 +197,40 @@ def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
     An index that is not evaluable raises PoleInDenominator here, with the
     message of its first pole (k from -l up, the theta factor before the
     tau factor) followed by the rule of which indices are evaluable, before
-    any term is summed.  A build that raised is not kept, so each call
-    raises a fresh exception.
+    any factor is built.  Past l = 1001/2 an evaluable index has a
+    polynomial factor of degree 2l - 1 > SERIES_TERM_CAP and raises
+    TermCapExceeded.  A build that raised is not kept, so each call raises
+    a fresh exception.
     """
     return _compiled_plan(idx.l.twice, idx.m.twice)
+
+
+def _check_poles(idx: HypersphIndex) -> None:
+    """Raise the PoleInDenominator of the first pole of idx's k-sum, if any."""
+    try:
+        for k in sum_index_values(idx):
+            params = _term_params(idx, k)
+            _check_pole(*params[:3])
+            _check_pole(*params[3:])
+    except PoleInDenominator as exc:
+        raise PoleInDenominator(f"{exc}; {_EVALUABLE_RULE}") from None
 
 
 # Keyed by (2l, 2m): hashing two ints costs a tenth of hashing the index.
 @functools.lru_cache(maxsize=64)
 def _compiled_plan(l_twice: int, m_twice: int) -> tuple[KernelTerm, ...]:
     idx = HypersphIndex(HalfInt(l_twice), HalfInt(m_twice))
+    _check_poles(idx)
     terms = []
-    try:
-        for k in sum_index_values(idx):
-            n = (idx.m.twice - k.twice) // 2  # m - k, an integer
-            a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
-            # the two non-terminating triples of l = 1/2 (see z_assoc)
-            theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else _theta_factor(
-                GaussSeries(a1, b1, c1))
-            tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else _tau_factor(
-                GaussSeries(a2, b2, c2))
-            terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
-    except PoleInDenominator as exc:
-        raise PoleInDenominator(f"{exc}; {_EVALUABLE_RULE}") from None
+    for k in sum_index_values(idx):
+        n = (idx.m.twice - k.twice) // 2  # m - k, an integer
+        a1, b1, c1, a2, b2, c2 = _term_params(idx, k)
+        # the two non-terminating triples of l = 1/2 (see z_assoc)
+        theta = None if (a1, b1, c1) == (1.0, 1.0, 2.0) else _theta_factor(
+            GaussSeries(a1, b1, c1))
+        tau = None if (a2, b2, c2) == (0.5, 1.0, 1.5) else _tau_factor(
+            GaussSeries(a2, b2, c2))
+        terms.append(KernelTerm(_I_POWERS[n % 4], n, -k.twice / 2.0, theta, tau))
     return tuple(terms)
 
 
@@ -231,7 +242,7 @@ def index_is_evaluable(idx: HypersphIndex) -> bool:
     building the plan of such a pair raises PoleInDenominator.
     """
     try:
-        kernel_plan(idx)
+        _check_poles(idx)
     except PoleInDenominator:
         return False
     return True
@@ -268,8 +279,9 @@ def z_assoc(idx: HypersphIndex, theta: float, tau: float) -> complex:
     through the Pfaff map, or tanh^2(tau/2)) is below 1/2, where the series
     converges in a few dozen terms, and a closed form in t^2 or tau past
     that (``_theta_factor``, ``_tau_factor``).  So no series runs to its
-    term cap or meets |x| = 1, and besides DomainError and PoleInDenominator
-    the kernel raises only OverflowError naming the point: for a prefactor
+    term cap or meets |x| = 1, and besides DomainError, PoleInDenominator
+    and, past l = 1001/2, the TermCapExceeded of ``kernel_plan``, the
+    kernel raises only OverflowError naming the point: for a prefactor
     that is not finite, a result whose modulus is not, a k-term power
     tan^{m-k}(theta/2) or tanh^{-k}(tau/2) that overflows or divides by 0
     (m - k < 0 as theta -> 0, k > 0 as tau -> 0), and a tau so small that

@@ -8,9 +8,11 @@ precision belongs to the verification oracles, not to this kernel.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import (
+    DomainError,
     IntegerOrderUnsupported,
     NonConvergent,
     NonPositiveArgument,
@@ -20,13 +22,10 @@ from .errors import (
 from .halfint import HalfInt
 
 SERIES_RELTOL = 1e-16
-SERIES_TERM_CAP = 10**6
-# Term ratios a GaussSeries keeps.  The kernel sums its non-terminating
-# factors only while their ratio is below 1/2, in at most ~60 terms, and
-# takes them in closed form past that; a series called directly near
-# x = 1 (``hyp2f1``, tests) runs to ~10^4 terms or to SERIES_TERM_CAP,
-# which the cap keeps from being stored.
-RATIO_CACHE_CAP = 512
+# Terms any one series may sum.  The kernel's series stop within 53 terms
+# and verify's sampled box within 500; a polynomial of a higher degree is
+# refused when it is compiled, and any other series when it reaches this.
+SERIES_TERM_CAP = 1000
 
 
 def _nonpos_int(v: float) -> int | None:
@@ -42,14 +41,8 @@ def _termination_index(a: float, b: float) -> int | None:
     If both parameters terminate the series, the smaller index is used
     (the two truncations sum identically; the shorter one is canonical).
     """
-    na, nb = _nonpos_int(a), _nonpos_int(b)
-    if na is not None and nb is not None:
-        return min(-na, -nb)
-    if na is not None:
-        return -na
-    if nb is not None:
-        return -nb
-    return None
+    ends = [-n for n in (_nonpos_int(a), _nonpos_int(b)) if n is not None]
+    return min(ends, default=None)
 
 
 def _check_pole(a: float, b: float, c: float) -> int | None:
@@ -70,27 +63,31 @@ def _check_pole(a: float, b: float, c: float) -> int | None:
 class GaussSeries:
     """The Gauss series 2F1(a, b; c; x) compiled for one triple (a, b, c).
 
-    Everything that does not depend on x is worked out once: the pole
-    check (which raises PoleInDenominator here, not at call time), the
-    termination index ``jmax`` and the term ratios
-    (a+j)(b+j)/((c+j)(j+1)) of DLMF 15.2.1, each applied as
-    ``term *= r * x`` in the order ``hyp2f1`` has always used, so values
-    are bitwise those of a term-by-term sum.  ``ratios`` holds at most
-    RATIO_CACHE_CAP of them: all of a terminating series up to that
-    length, and for a non-terminating one the prefix its calls have
-    needed so far.  Ratios past the cap are computed inline and not kept,
-    so a series that runs to SERIES_TERM_CAP holds no more memory than
-    one of RATIO_CACHE_CAP terms.  A grown prefix is published by
-    replacing the tuple, never by mutating it, so concurrent calls only
-    ever read a complete prefix.
+    Everything that does not depend on x is worked out once, at build:
+    the check that a, b and c are finite (DomainError), the pole check
+    (PoleInDenominator here, not at call time), the termination index
+    ``jmax`` and, for a polynomial, all of its term ratios
+    (a+j)(b+j)/((c+j)(j+1)) of DLMF 15.2.1.  A polynomial of a degree
+    ``jmax`` > SERIES_TERM_CAP raises TermCapExceeded here.  Nothing
+    changes after the build but the Pfaff partner, made on first use.  A
+    non-terminating series works out each ratio as it goes and raises
+    TermCapExceeded if it has not reached SERIES_RELTOL within
+    SERIES_TERM_CAP terms.  Either way each term is applied as
+    ``term *= r * x``, the order ``hyp2f1`` has always used, so values
+    are bitwise those of a term-by-term sum.
     """
 
     __slots__ = ("a", "b", "c", "jmax", "ratios", "_pfaff")
 
     def __init__(self, a: float, b: float, c: float):
+        if not all(map(math.isfinite, (a, b, c))):
+            raise DomainError(f"2F1({a}, {b}; {c}; x): the parameters must be finite")
         self.a, self.b, self.c = a, b, c
         self.jmax = _check_pole(a, b, c)
-        n = 0 if self.jmax is None else min(self.jmax, RATIO_CACHE_CAP)
+        n = self.jmax or 0
+        if n > SERIES_TERM_CAP:
+            raise TermCapExceeded(f"2F1({a}, {b}; {c}; x): {n} terms, past the cap of "
+                                  f"{SERIES_TERM_CAP}")
         self.ratios = tuple((a + j) * (b + j) / ((c + j) * (j + 1)) for j in range(n))
         self._pfaff: GaussSeries | None = None
 
@@ -104,54 +101,24 @@ class GaussSeries:
         # _angle is ignored: the kernel plan calls its tau factors with tau
         # too, since some of them switch to a closed form in tau
         x = complex(x)
+        s = term = 1.0 + 0.0j
         if self.jmax is not None:
-            s = term = 1.0 + 0.0j
             for r in self.ratios:
                 term *= r * x
                 s += term
-            if self.jmax > RATIO_CACHE_CAP:
-                a, b, c = self.a, self.b, self.c
-                for j in range(RATIO_CACHE_CAP, self.jmax):
-                    term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
-                    s += term
             return s
         if x.imag == 0.0 and x.real < 0.0:
             z = x.real / (x.real - 1.0)
             return (1.0 - x.real) ** (-self.a) * self.pfaff()(z)
-        if abs(x) < 1.0:
-            return self._series(x)
-        raise NonConvergent(
-            f"2F1 series with |x| = {abs(x):.3g} >= 1 does not terminate"
-        )
-
-    def _series(self, x: complex) -> complex:
-        s = term = 1.0 + 0.0j
-        prefix = self.ratios
-        for r in prefix:
-            term *= r * x
+        if not abs(x) < 1.0:
+            raise NonConvergent(f"|x| = {abs(x):.3g} >= 1 and the series does not terminate")
+        a, b, c = self.a, self.b, self.c
+        for j in range(SERIES_TERM_CAP):
+            term *= (a + j) * (b + j) / ((c + j) * (j + 1)) * x
             s += term
             if abs(term) < SERIES_RELTOL * abs(s):
                 return s
-        a, b, c = self.a, self.b, self.c
-        j = len(prefix)
-        grown = []
-        try:
-            while True:
-                if j >= SERIES_TERM_CAP:
-                    raise TermCapExceeded(
-                        f"2F1 series did not converge within {SERIES_TERM_CAP} terms"
-                    )
-                r = (a + j) * (b + j) / ((c + j) * (j + 1))
-                if j < RATIO_CACHE_CAP:
-                    grown.append(r)
-                term *= r * x
-                s += term
-                j += 1
-                if abs(term) < SERIES_RELTOL * abs(s):
-                    return s
-        finally:
-            if grown:
-                self.ratios = prefix + tuple(grown)
+        raise TermCapExceeded(f"the series did not converge within {SERIES_TERM_CAP} terms")
 
 
 def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
@@ -164,14 +131,25 @@ def hyp2f1(a: float, b: float, c: float, x: complex) -> complex:
     and keeps convergence geometric even as x -> -1; this is the only
     analytic continuation performed.  No 1 - x connection is applied, so
     as the (mapped) argument nears 1 the series needs ever more terms and
-    raises TermCapExceeded once it needs more than SERIES_TERM_CAP.
+    raises TermCapExceeded once it needs more than SERIES_TERM_CAP = 1000
+    (at x = 0.999 for 2F1(1, 1; 2; x)), as does a polynomial of a higher
+    degree.  A parameter or an x that is not finite raises DomainError at
+    once.  Each error names (a, b, c) and the x given here, also where the
+    Pfaff map has run the series on x/(x-1).
 
     This compiles a ``GaussSeries`` and calls it once; the Lorentz kernel
     (``hypersph.z_assoc``) keeps its compiled series in a per-index plan
     instead, and takes its factors that would near the x -> 1 limit in
-    closed form.
+    closed form, so up to l = 1001/2 it meets neither NonConvergent nor
+    TermCapExceeded.
     """
-    return GaussSeries(a, b, c)(x)
+    if not cmath.isfinite(x):
+        raise DomainError(f"2F1({a}, {b}; {c}; {x}): x must be finite")
+    series = GaussSeries(a, b, c)
+    try:
+        return series(x)
+    except (NonConvergent, TermCapExceeded) as exc:
+        raise type(exc)(f"2F1({a}, {b}; {c}; {x}): {exc}") from None
 
 
 def _seed_half(x: float) -> tuple[float, float]:

@@ -10,6 +10,7 @@ same bits and raise the same errors.
 import cmath
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -262,32 +263,86 @@ def test_evaluable_classification_matches_pole_checks():
         assert hypersph.index_is_evaluable(idx) == (poles == 0)
 
 
-# ---------------------------------------------------------------- bounded caches
+# ---------------------------------------------------------------- the term cap
 
 
-def test_ratio_prefix_stays_within_the_cap():
-    # 2F1(1, 1; 3; -t^2), the k = -1 theta factor of l = m = 1, summed as a
-    # series through its Pfaff partner (1, 2; 3); at theta = 3 that runs to
-    # ~10^4 terms.  The kernel takes it in closed form there.
-    series = specfun.GaussSeries(1.0, 1.0, 3.0)
-    assert series.jmax is None
-    series(complex(-math.tan(1.5) ** 2))
-    partner = series.pfaff()
-    assert len(partner.ratios) == specfun.RATIO_CACHE_CAP
-    # a run to the term cap keeps nothing past the cap either
+def _fastest_raise(error, call):
+    """The best of three times in seconds for ``call`` to raise ``error``."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        with pytest.raises(error):
+            call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_series_past_the_term_cap_fail_fast():
+    assert specfun.SERIES_TERM_CAP == 1000
+    # 2F1(1, 1; 2; 0.999) needs ~3 x 10^4 terms to converge
+    assert _fastest_raise(TermCapExceeded, lambda: specfun.hyp2f1(1.0, 1.0, 2.0, 0.999)) < 0.01
+    # a polynomial of degree 1001 is refused when it is compiled
+    assert specfun.GaussSeries(-1000.0, 1.0, 1.0).jmax == 1000
+    assert _fastest_raise(TermCapExceeded, lambda: specfun.GaussSeries(-1001.0, 1.0, 1.0)) < 0.01
+
+
+def test_longest_sampled_verify_series_fits_the_cap(monkeypatch):
+    # 2F1(4, 4; 1/2; 0.9), the corner of verify's gauss_contiguity box,
+    # takes 500 terms
+    import mpmath as mp
+
+    with mp.workdps(30):
+        want = complex(mp.hyp2f1(4, 4, 0.5, 0.9))
+    assert abs(specfun.hyp2f1(4.0, 4.0, 0.5, 0.9) - want) <= 1e-12 * abs(want)
+    monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 499)
     with pytest.raises(TermCapExceeded):
-        series(complex(-math.tan(0.5 * (math.pi - 1e-3)) ** 2))
-    assert len(partner.ratios) == specfun.RATIO_CACHE_CAP
+        specfun.hyp2f1(4.0, 4.0, 0.5, 0.9)
 
 
-def test_terminating_series_keeps_at_most_the_cap():
-    long = specfun.GaussSeries(-2.0 * specfun.RATIO_CACHE_CAP, 1.0, 1.0)
-    assert long.jmax == 2 * specfun.RATIO_CACHE_CAP
-    assert len(long.ratios) == specfun.RATIO_CACHE_CAP
-    # the inline tail still sums the whole polynomial: (1 - x)^n
-    assert long(1e-4).real == pytest.approx((1.0 - 1e-4) ** (2 * specfun.RATIO_CACHE_CAP),
-                                            rel=1e-12)
-    assert long(1e-4) == _ref_hyp2f1(long.a, long.b, long.c, 1e-4)
+# the switch of the tau factors sits at tanh^2(tau/2) = 1/2, tau = 1.7627...
+CAP_THETAS = (1e-8, 1.0, math.pi / 2, 3.0, math.pi - 1e-4, math.pi - 1e-8)
+CAP_TAUS = (1e-3, 1.0, 1.7627, 20.0, 316.0)
+
+
+def _kernel_outcomes(indices):
+    kinds = set()
+    for idx in indices:
+        for theta in CAP_THETAS:
+            for tau in CAP_TAUS:
+                try:
+                    z_assoc(idx, theta, tau)
+                    kinds.add(None)
+                except (ValueError, ArithmeticError) as exc:
+                    kinds.add(type(exc))
+    return kinds
+
+
+def test_kernel_series_stay_far_below_the_term_cap(monkeypatch):
+    # every series the kernel sums stops within 53 terms, so a cap of 64
+    # leaves each evaluable index with l <= 15/2 only its overflows
+    evaluable = [idx for l in map(HalfInt, range(16)) for m in unit_range(-l, l)
+                 if hypersph.index_is_evaluable(idx := HypersphIndex(l, m))]
+    assert len(evaluable) == 27
+    monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 64)
+    assert _kernel_outcomes(evaluable) == {None, OverflowError}
+    # and the points reach the longest of those series
+    monkeypatch.setattr(specfun, "SERIES_TERM_CAP", 52)
+    assert TermCapExceeded in _kernel_outcomes(evaluable)
+
+
+def test_plan_past_the_term_cap_is_refused_after_the_pole_checks():
+    # a polynomial factor of Z^l_m has degree up to 2l - 1, which passes the
+    # cap of 1000 at l = 1003/2; whether an index is evaluable still rests
+    # on its poles alone, and a non-evaluable one still raises its pole
+    for l2, m2, evaluable in ((1003, -1003, True), (1003, 1003, True), (1003, 1, False),
+                              (1002, -1002, False)):
+        idx = HypersphIndex(half(l2), half(m2))
+        assert hypersph.index_is_evaluable(idx) is evaluable
+        if not evaluable:
+            with pytest.raises(PoleInDenominator):
+                z_assoc(idx, 1.0, 1.0)
+    with pytest.raises(TermCapExceeded, match="1002 terms, past the cap of 1000"):
+        z_assoc(HypersphIndex(half(1003), half(-1003)), 1.0, 1.0)
 
 
 def test_plan_cache_is_bounded():

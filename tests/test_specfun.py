@@ -1,12 +1,15 @@
 import math
+import re
 
 import pytest
 
 from poincarewave.errors import (
+    DomainError,
     IntegerOrderUnsupported,
     NonConvergent,
     NonPositiveArgument,
     PoleInDenominator,
+    TermCapExceeded,
 )
 from poincarewave.halfint import half
 from poincarewave.specfun import (
@@ -46,6 +49,29 @@ class TestHyp2F1:
     def test_nonconvergent_raises(self):
         with pytest.raises(NonConvergent):
             hyp2f1(0.5, 0.7, 1.9, 1.5)
+
+    def test_errors_name_the_callers_input(self):
+        with pytest.raises(NonConvergent, match=re.escape("2F1(0.5, 0.7; 1.9; 1.5): |x| = 1.5")):
+            hyp2f1(0.5, 0.7, 1.9, 1.5)
+        # x < 0 runs the Pfaff partner (1, 2; 3) on x/(x - 1) = 1 - 2.5e-7,
+        # yet the error names the triple and the x given
+        x = -math.tan(0.5 * (math.pi - 1e-3)) ** 2
+        with pytest.raises(TermCapExceeded) as info:
+            hyp2f1(1.0, 1.0, 3.0, x)
+        assert str(info.value) == (
+            f"2F1(1.0, 1.0; 3.0; {x}): the series did not converge within 1000 terms")
+
+    @pytest.mark.parametrize("a, b, c, x", [
+        (math.nan, 1.0, 2.0, 0.5),
+        (1.0, -math.inf, 2.0, 0.5),
+        (1.0, 1.0, math.inf, 0.5),
+        (1.0, 1.0, 2.0, -math.inf),
+        (1.0, 1.0, 2.0, math.nan),
+        (1.0, 1.0, 2.0, complex(0.1, math.nan)),
+    ])
+    def test_non_finite_input_is_a_domain_error(self, a, b, c, x):
+        with pytest.raises(DomainError, match=re.escape(f"2F1({a}, {b}; {c}; ")):
+            hyp2f1(a, b, c, x)
 
     def test_pole_before_termination_raises(self):
         with pytest.raises(PoleInDenominator):
