@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import dirac, hypersph
 from .dirac import FourMomentum, u_amplitude, v_amplitude
@@ -38,8 +38,6 @@ _X_AXES = GRID_AXES[:4]
 _ROUNDING_MARGIN = 1.0 + 2.0**-40
 
 Factor = tuple[complex, complex, complex, complex]
-# A point of a factor of ``sweep``: (key, entries).
-Entry = tuple[Any, tuple[complex, ...]]
 
 
 class Linspace(Sequence[float]):
@@ -223,31 +221,30 @@ def check_grid_size(counts: Iterable[int]) -> None:
 
 
 def sweep(
-    outer: Iterable[Entry],
-    inner: Sequence[Entry],
+    outer: Iterable[tuple[complex, ...]],
+    inner: Sequence[tuple[complex, ...]],
     outer_bound: Sequence[float],
-) -> Iterator[tuple[Any, Any, tuple[complex, ...]]]:
+) -> Iterator[tuple[complex, ...]]:
     """Evaluate a grid that is the product of an outer and an inner factor.
 
-    Each factor gives its sub-grid's points in order as ``(key, entries)``:
-    a label for the point and a tuple of complex factor entries.  ``outer``
-    is read as the rows are read, one point per pass over ``inner``, so
-    memory grows with the inner sub-grid alone; ``inner`` is a table built
-    before the call.  ``outer_bound`` is the caller's promise that reading
-    ``outer`` cannot raise and that |outer entry i| <= outer_bound[i] at
-    every point.
+    Each factor gives its sub-grid's points in order, each point a tuple
+    of complex factor entries; which point is which is the caller's to
+    know.  ``outer`` is read as the rows are read, one point per pass over
+    ``inner``, so memory grows with the inner sub-grid alone; ``inner`` is
+    a table built before the call.  ``outer_bound`` is the caller's
+    promise that reading ``outer`` cannot raise and that |outer entry i| <=
+    outer_bound[i] at every point.
 
     OverflowError is raised before this returns when an inner entry is not
     finite or when outer_bound[i] * max|inner entry i|, the bound of the
     product of component i, is not.  The iterator returned then yields, for
-    each outer point and, within it, each inner point,
-    ``(outer key, inner key, outer entries * inner entries)``, the product
-    taken componentwise, and cannot raise.
+    each outer point and, within it, each inner point, the outer entries
+    times the inner entries, taken componentwise, and cannot raise.
     """
     for a, b in zip(outer_bound, _largest(inner)):
         if not math.isfinite(a * b):
             raise OverflowError("a product of the grid factors overflows")
-    return ((ok, ik, tuple(map(operator.mul, ov, iv))) for ok, ov in outer for ik, iv in inner)
+    return (tuple(map(operator.mul, ov, iv)) for ov in outer for iv in inner)
 
 
 def _product(seqs: Sequence[Sequence[float]]) -> Iterator[tuple[float, ...]]:
@@ -260,12 +257,12 @@ def _product(seqs: Sequence[Sequence[float]]) -> Iterator[tuple[float, ...]]:
     return ((*head, v) for head in _product(outer) for v in last)
 
 
-def _largest(table: Sequence[Entry]) -> list[float]:
+def _largest(table: Sequence[tuple[complex, ...]]) -> list[float]:
     """The largest modulus of each component over a factor table, taken
     one component at a time so that only one column of moduli is held."""
     largest = []
-    for i in range(len(table[0][1]) if table else 0):
-        mags = [abs(entries[i]) for _, entries in table]
+    for i in range(len(table[0]) if table else 0):
+        mags = [abs(entries[i]) for entries in table]
         if not all(map(math.isfinite, mags)):
             raise OverflowError("a grid factor is not finite")
         largest.append(max(mags))
@@ -275,10 +272,11 @@ def _largest(table: Sequence[Entry]) -> list[float]:
 def grid_rows(
     cfg: SpinConfig,
     axes: Mapping[str, Sequence[float]],
-) -> Iterator[tuple[tuple[float, float, float, float], EulerAngles, Factor]]:
-    """The rows of a grid over every axis, as an iterator of
-    ``(x, angles, psi)`` in lexicographic GRID_AXES order, the first axis
-    slowest, whatever the order of ``axes``.
+) -> Iterator[Factor]:
+    """The rows of a grid over every axis, as an iterator of the four
+    components of psi at each point of
+    ``itertools.product(*(axes[name] for name in GRID_AXES))``, in its
+    order, whatever the order of ``axes``.
 
     ``axes`` maps every name in GRID_AXES to its values; a fixed
     parameter is an axis of one value.  The grid is evaluated as the
@@ -322,10 +320,8 @@ def grid_rows(
     coefficients = _radial_coefficients(cfg)
     kernels = [_kernels(theta, tau) for theta, tau in itertools.product(thetas, taus)]
     phases = [_phases(EulerAngles(phi, eps)) for phi, eps in itertools.product(phis, epss)]
-    angles = [(EulerAngles(phi, eps, theta, tau), _lorentz(coefficients, z, ph))
-              for (phi, eps), ph in zip(itertools.product(phis, epss), phases)
-              for (theta, tau), z in zip(itertools.product(thetas, taus), kernels)]
-    xs = ((x, translation(x)) for x in _product([axes[name] for name in _X_AXES]))
+    angles = [_lorentz(coefficients, z, ph) for ph in phases for z in kernels]
+    xs = map(translation, _product([axes[name] for name in _X_AXES]))
     return sweep(xs, angles, [abs(v) * _ROUNDING_MARGIN for v in amplitudes])
 
 
@@ -339,9 +335,9 @@ def grid_eval(
     ``axes`` maps parameter names (subset of GRID_AXES) to value lists;
     unswept parameters come from ``base``.  Rows are emitted in
     lexicographic order of the axes in mapping order: the rows of
-    ``grid_rows``, which come in GRID_AXES order, sorted by their indices
-    on the axes taken in mapping order.  Each row equals a pointwise
-    ``bispinor`` call bitwise.
+    ``grid_rows``, which come in GRID_AXES order, each paired with its
+    point and sorted by its indices on the axes taken in mapping order.
+    Each row equals a pointwise ``bispinor`` call bitwise.
     """
     b = base.ang
     fixed = zip(GRID_AXES, (*base.x, b.phi, b.eps, b.theta, b.tau))
@@ -349,5 +345,6 @@ def grid_eval(
     rows = grid_rows(cfg, full)
     order = [GRID_AXES.index(name) for name in axes]
     indices = itertools.product(*(range(len(full[name])) for name in GRID_AXES))
-    return [(GroupPoint(x, ang), PoincareBispinor(*psi)) for _, (x, ang, psi) in
-            sorted(zip(indices, rows), key=lambda row: [row[0][i] for i in order])]
+    points = itertools.product(*(full[name] for name in GRID_AXES))
+    return [(GroupPoint(p[:4], EulerAngles(*p[4:])), PoincareBispinor(*psi)) for _, p, psi in
+            sorted(zip(indices, points, rows), key=lambda row: [row[0][i] for i in order])]

@@ -148,11 +148,11 @@ def _emit(doc: dict, fmt: str, out_path: str | None, fields, axes: list,
 
 def _complex_flag(s: str) -> complex:
     """Parse 're,im' or a bare real into a finite complex."""
-    if "," in s:
-        re, im = s.split(",")
+    try:
+        re, im = s.split(",") if "," in s else (s, "0")
         v = complex(float(re), float(im))
-    else:
-        v = complex(float(s))
+    except ValueError:
+        raise DomainError(f"complex value {s!r} is neither 're,im' nor a real number") from None
     if not cmath.isfinite(v):
         raise DomainError(f"complex value {s!r} is non-finite")
     return v
@@ -192,22 +192,20 @@ def cmd_spinor(args) -> int:
 
 def cmd_hypersph(args) -> int:
     idx = hypersph.HypersphIndex(HalfInt.from_value(args.l), HalfInt.from_value(args.m))
-    fields = ("theta", "tau", "phi", "eps")
-    axes = dict(zip(fields, _axes([args.theta, args.tau, args.phi, args.eps])))
+    axes = thetas, taus, phis, epss = _axes([args.theta, args.tau, args.phi, args.eps])
     # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
     # (theta, tau) sub-grid in one z_grid call, streamed in row order over
     # a table of the phase at each (phi, eps) point
-    grid = hypersph.z_grid(idx, axes["theta"], axes["tau"])
-    phases = [(pe, (hypersph.phase(idx.m, hypersph.EulerAngles(*pe), args.dotted),))
-              for pe in itertools.product(axes["phi"], axes["eps"])]
-    kernel = zip(itertools.product(axes["theta"], axes["tau"]), zip(itertools.chain(*grid)))
-    rows = assembly.sweep(kernel, phases, [max(map(abs, itertools.chain(*grid)))])
+    grid = hypersph.z_grid(idx, thetas, taus)
+    phases = [(hypersph.phase(idx.m, hypersph.EulerAngles(*pe), args.dotted),)
+              for pe in itertools.product(phis, epss)]
+    kernel = zip(itertools.chain(*grid))
     doc = {
         "command": "hypersph",
         "inputs": {"l": str(idx.l), "m": str(idx.m), "dotted": bool(args.dotted)},
-        "rows": (entries for _, _, entries in rows),
+        "rows": assembly.sweep(kernel, phases, [max(map(abs, itertools.chain(*grid)))]),
     }
-    _emit(doc, args.format, args.out, (*fields, "re", "im"), list(axes.values()), streamed=2)
+    _emit(doc, args.format, args.out, ("theta", "tau", "phi", "eps", "re", "im"), axes, streamed=2)
     return 0
 
 
@@ -234,7 +232,6 @@ def cmd_wavefunction(args) -> int:
     except OrderNotEvaluable as exc:
         raise DomainError(f"--{exc.name.replace('_', '-')}: {exc}") from None
     axes = _axes([getattr(args, name) for name in assembly.GRID_AXES])
-    rows = assembly.grid_rows(cfg, dict(zip(assembly.GRID_AXES, axes)))
     doc = {
         "command": "wavefunction",
         "inputs": {
@@ -244,7 +241,7 @@ def cmd_wavefunction(args) -> int:
             "radius": cfg.radius, "sign_pair": cfg.sign_pair,
             "px": cfg.p.px, "py": cfg.p.py, "pz": cfg.p.pz, "m": cfg.p.m,
         },
-        "rows": (psi for _, _, psi in rows),
+        "rows": assembly.grid_rows(cfg, dict(zip(assembly.GRID_AXES, axes))),
     }
     # the x axes are the streamed factor of the grid, the angles its table
     _emit(doc, args.format, args.out, _WAVEFUNCTION_FIELDS, axes, streamed=4, moduli=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -27,14 +28,21 @@ def _require_finite(*components: float) -> None:
 
 def _shell_energy(px: float, py: float, pz: float, m: float) -> float:
     """sqrt(m² + |p|²).  A square past the double range raises OffShellError
-    naming the components.  The squares stay ``**``: ``x*x`` differs from
-    ``x**2`` in the last bit for some doubles, which would move E."""
+    naming the components, and so does a positive mass whose m² + |p|² is
+    below the smallest normal double, where the squares have lost their
+    precision.  The squares stay ``**``: ``x*x`` differs from ``x**2`` in
+    the last bit for some doubles, which would move E."""
     try:
-        return math.sqrt(m**2 + px**2 + py**2 + pz**2)
+        square = m**2 + px**2 + py**2 + pz**2
     except OverflowError:
-        raise OffShellError(
-            f"the shell energy of (px, py, pz, m) = {(px, py, pz, m)} overflows a double"
-        ) from None
+        raise _shell_error(px, py, pz, m, "overflows") from None
+    if m > 0.0 and square < sys.float_info.min:
+        raise _shell_error(px, py, pz, m, "underflows")
+    return math.sqrt(square)
+
+
+def _shell_error(px: float, py: float, pz: float, m: float, how: str) -> OffShellError:
+    return OffShellError(f"the shell energy of (px, py, pz, m) = {(px, py, pz, m)} {how} a double")
 
 
 @dataclass(frozen=True)

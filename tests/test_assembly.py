@@ -195,14 +195,27 @@ def test_non_finite_x_rejected(value):
             GroupPoint(tuple(x), ANG)
 
 
+def _psi_bits(values):
+    return [struct.pack("2d", v.real, v.imag) for v in values]
+
+
+def _point(values):
+    """The GroupPoint of a point of the grid over GRID_AXES."""
+    return GroupPoint(values[:4], EulerAngles(*values[4:]))
+
+
 def test_grid_rows_takes_every_axis():
     cfg = config()
     axes = {"x1": [0.0], "x2": [0.0], "x3": [0.0, 1.0], "x4": [0.5],
             "phi": [ANG.phi], "eps": [ANG.eps], "theta": [ANG.theta], "tau": [ANG.tau]}
     rows = list(grid_rows(cfg, axes))
+    points = list(itertools.product(*axes.values()))
+    assert len(rows) == len(points) == 2
+    for psi, point in zip(rows, points):
+        assert _psi_bits(psi) == _psi_bits(bispinor(cfg, _point(point)).as_tuple())
     base = GroupPoint((0.0, 0.0, 0.0, 0.5), ANG)
-    assert [(x, ang, psi) for x, ang, psi in rows] == [
-        (gp.x, gp.ang, row.as_tuple()) for gp, row in grid_eval(cfg, base, {"x3": [0.0, 1.0]})]
+    assert list(map(_psi_bits, rows)) == [
+        _psi_bits(row.as_tuple()) for _, row in grid_eval(cfg, base, {"x3": [0.0, 1.0]})]
     del axes["eps"]
     with pytest.raises(DomainError, match="missing"):
         grid_rows(cfg, axes)
@@ -244,9 +257,10 @@ def test_plane_wave_enters_with_opposite_signs():
 
 def test_streamed_grid_rows_match_pointwise_calls(monkeypatch):
     # x axes first, as in GRID_AXES: the translation factor is streamed; the
-    # rows equal pointwise calls bitwise, and equal the tabulated rows of
-    # the same grid in an interleaved order.  phi and eps take both signed
-    # zeros, whose phases differ in the sign of a zero.
+    # rows equal pointwise calls at the points of the grid in GRID_AXES
+    # order bitwise, whatever the order of the axes mapping.  phi and eps
+    # take both signed zeros, whose phases differ in the sign of a zero, so
+    # a row out of its place differs from the call at that place.
     cfg = config(C1=0.6 + 0.2j, C2=-0.3 + 0.1j, r=2)
     axes = {"x1": Linspace(-1.0, 2.0, 3), "x2": [0.2], "x3": [-0.0, 0.0], "x4": [0.4, -1.5],
             "phi": [0.0, -0.0, 0.3], "eps": [-0.0, 0.0], "theta": [0.5, 2.5], "tau": [0.4, 2.0]}
@@ -256,38 +270,38 @@ def test_streamed_grid_rows_match_pointwise_calls(monkeypatch):
     assert len(rows) == 3 * 2 * 2 * 3 * 2 * 2 * 2
     # two kernels per (theta, tau) point, four phases per (phi, eps) point
     assert (kernel[0], phase[0]) == (2 * 2 * 2, 4 * 3 * 2)
-    bits = lambda vs: [struct.pack("2d", v.real, v.imag) for v in vs]
-    for (x, ang, psi), point in zip(rows, itertools.product(*axes.values())):
-        assert bits(x + (ang.phi, ang.eps, ang.theta, ang.tau)) == bits(point)
-        assert bits(psi) == bits(bispinor(cfg, GroupPoint(x, ang)).as_tuple())
+    for psi, point in zip(rows, itertools.product(*axes.values())):
+        assert _psi_bits(psi) == _psi_bits(bispinor(cfg, _point(point)).as_tuple())
     order = ("theta", "x4", "phi", "x1", "tau", "eps", "x3", "x2")
     interleaved = list(grid_rows(cfg, {name: axes[name] for name in order}))
-    assert sorted(map(repr, interleaved)) == sorted(map(repr, rows))
+    assert list(map(_psi_bits, interleaved)) == list(map(_psi_bits, rows))
 
 
 def test_streamed_factor_is_evaluated_as_the_rows_are_read():
+    # an outer point (a, b) has entries (a, b, 1) and an inner point c has
+    # (1, 1, c), so each row's entries (a, b, c) name the pair it is from
     calls = []
 
     def outer():
         for a, b in itertools.product(Linspace(0.0, 1.0, 4), [1.0, 2.0]):
             calls.append((a, b))
-            yield (a, b), (complex(a), complex(b))
+            yield complex(a), complex(b), 1.0
 
-    inner = [(c, (complex(c), 1j)) for c in (3.0, 4.0, 5.0)]
-    rows = sweep(outer(), inner, [1.0, 2.0])
+    inner = [(1.0, 1.0, complex(c)) for c in (3.0, 4.0, 5.0)]
+    rows = sweep(outer(), inner, [1.0, 2.0, 1.0])
     assert calls == []
     first = next(rows)
-    assert calls == [(0.0, 1.0)] and first == ((0.0, 1.0), 3.0, (0j, 1j))
+    assert calls == [(0.0, 1.0)] and first == (0.0, 1.0, 3.0)
     rest = list(rows)
     assert len(rest) == 4 * 2 * 3 - 1
     # each outer point read once, in order, and paired with every inner one
     assert calls == list(itertools.product(Linspace(0.0, 1.0, 4), [1.0, 2.0]))
-    keys = [(ok, ik) for ok, ik, _ in [first, *rest]]
-    assert keys == list(itertools.product(calls, [3.0, 4.0, 5.0]))
+    assert [first, *rest] == [(a, b, c) for (a, b), c in
+                              itertools.product(calls, [3.0, 4.0, 5.0])]
     # the product bound is checked before any outer point is read
     calls.clear()
     with pytest.raises(OverflowError, match="a product of the grid factors overflows"):
-        sweep(outer(), inner, [1e308, 2.0])
+        sweep(outer(), inner, [1.0, 2.0, 1e308])
     assert calls == []
 
 

@@ -810,12 +810,38 @@ def test_import_builds_no_parser():
      "at m=-1/2, phi=1.5707963267948966, eps=1420.0 overflows"),
     ((*_WF, "--eps", "1420", "--phi", "1.5707963267948966"),
      "at m=-1/2, phi=1.5707963267948966, eps=1420.0 overflows"),
+    ((*_WF, "--c1", "1,2,3"), "complex value '1,2,3' is neither 're,im' nor a real number"),
+    ((*_WF, "--c1", "1,"), "complex value '1,' is neither 're,im' nor a real number"),
 ])
 def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_shell_energy_underflow_exit_2_naming_the_momentum(capsys):
+    # m^2 + |p|^2 below the smallest normal double: the squares have lost
+    # E, which would come out as 0.0 (u_4 = 7.07e19 for 7.07e9) or with a
+    # relative error of 5.6e-6
+    wf = ("--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5")
+    for argv, named in (
+        (("spinor", "--kind", "u", "--r", "1", "--m", "1e-320", "--px", "1e-300"),
+         "(1e-300, 0.0, 0.0, 1e-320)"),
+        (("wavefunction", "--m", "1e-320", "--px", "1e-300", *wf), "(1e-300, 0.0, 0.0, 1e-320)"),
+        (("spinor", "--kind", "u", "--r", "1", "--m", "1e-160", "--px", "3e-160"),
+         "(3e-160, 0.0, 0.0, 1e-160)"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: the shell energy of (px, py, pz, m) = {named} underflows a double\n"
+    # m^2 just past the smallest normal double still evaluates
+    code, out, _ = run(capsys, "spinor", "--kind", "u", "--r", "1", "--m", "1.5e-154")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["E"] == pytest.approx(1.5e-154, rel=1e-15)
+    assert [complex(c["re"], c["im"]) for c in doc["rows"]] == [1, 0, 0, 0]
+    assert run(capsys, "wavefunction", "--m", "1.5e-154", *wf)[0] == 0
 
 
 def test_product_bound_at_the_edge_of_the_double_range(capsys):
@@ -888,3 +914,20 @@ def test_hypersph_kernel_memory_per_point():
         tracemalloc.stop()
     assert code == 0
     assert peak < 100 * 100 * 100, peak
+
+
+def test_wavefunction_angle_table_memory_per_point():
+    # the (phi, eps, theta, tau) table holds one Lorentz 4-tuple per point
+    # and no key: a 100 x 100 (theta, tau) grid peaks at about 400 B per
+    # point, where a table that also held an EulerAngles per point took
+    # about 590 B
+    main([*_WF, "--format=csv", f"--out={os.devnull}"])
+    tracemalloc.start()
+    try:
+        code = main([*_WF, "--theta=0.1:3:100", "--tau=0.1:3:100", "--format=csv",
+                     f"--out={os.devnull}"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 450 * 100 * 100, peak
