@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import dirac, hypersph
@@ -21,6 +20,7 @@ from .errors import DomainError, OrderNotEvaluable, SizeCapExceeded
 from .halfint import HalfInt
 from .hypersph import EulerAngles, HypersphIndex
 from .radial import RadialParams, SignPair, argument_scale, radial_values
+from .value import Value, slot_setters
 
 GRID_SIZE_CAP = 10**7
 
@@ -88,49 +88,70 @@ def _max_abs(values: Sequence[float]) -> float:
     return max(map(abs, values))
 
 
-@dataclass(frozen=True)
-class GroupPoint:
-    x: tuple[float, float, float, float]
-    ang: EulerAngles
+class GroupPoint(Value):
+    """A point of the group manifold: the coordinates x = (x1, x2, x3, x4)
+    and the Lorentz angles."""
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, self.x)):
-            raise DomainError(f"x must be finite, got {self.x}")
+    __slots__ = ("x", "ang")
+
+    def __init__(self, x: tuple[float, float, float, float], ang: EulerAngles):
+        if len(x) != 4:
+            raise DomainError(f"x must hold four coordinates, got {x}")
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"x must be finite, got {x}")
+        _set_x(self, x)
+        _set_ang(self, ang)
 
 
-@dataclass(frozen=True)
-class SpinConfig:
-    p: FourMomentum
-    r: int
-    rp: RadialParams
-    radius: float
-    sign_pair: SignPair = "+-"
+_set_x, _set_ang = slot_setters(GroupPoint)
 
-    def __post_init__(self) -> None:
-        if self.r not in (1, 2):
-            raise ValueError(f"r must be 1 or 2, got {self.r}")
-        if not self.radius > 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
-        if not math.isfinite(self.radius):
-            raise ValueError(f"radius must be finite, got {self.radius}")
-        if self.sign_pair not in ("+-", "-+"):
-            raise ValueError(f"sign_pair must be '+-' or '-+', got {self.sign_pair!r}")
-        for name, q in (("l", self.rp.l), ("l_dot", self.rp.l_dot)):
+
+class SpinConfig(Value):
+    """Everything the bispinor depends on but the group point."""
+
+    __slots__ = ("p", "r", "rp", "radius", "sign_pair")
+
+    def __init__(self, p: FourMomentum, r: int, rp: RadialParams, radius: float,
+                 sign_pair: SignPair = "+-"):
+        if r not in (1, 2):
+            raise ValueError(f"r must be 1 or 2, got {r}")
+        if not radius > 0.0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        if not math.isfinite(radius):
+            raise ValueError(f"radius must be finite, got {radius}")
+        if sign_pair not in ("+-", "-+"):
+            raise ValueError(f"sign_pair must be '+-' or '-+', got {sign_pair!r}")
+        for name, q in (("l", rp.l), ("l_dot", rp.l_dot)):
             if q != _PLUS_HALF:
                 raise OrderNotEvaluable(name, (
                     f"{name} must be 1/2, got {q}: the Lorentz factor takes Z^l_m at "
                     "m = +1/2 and at m = -1/2, and both are evaluable only at l = 1/2"))
+        _set_p(self, p)
+        _set_r(self, r)
+        _set_rp(self, rp)
+        _set_radius(self, radius)
+        _set_sign_pair(self, sign_pair)
 
 
-@dataclass(frozen=True)
-class PoincareBispinor:
-    psi1: complex
-    psi2: complex
-    psi1_dot: complex
-    psi2_dot: complex
+_set_p, _set_r, _set_rp, _set_radius, _set_sign_pair = slot_setters(SpinConfig)
+
+
+class PoincareBispinor(Value):
+    """The four components of psi at one point."""
+
+    __slots__ = ("psi1", "psi2", "psi1_dot", "psi2_dot")
+
+    def __init__(self, psi1: complex, psi2: complex, psi1_dot: complex, psi2_dot: complex):
+        _set_psi1(self, psi1)
+        _set_psi2(self, psi2)
+        _set_psi1_dot(self, psi1_dot)
+        _set_psi2_dot(self, psi2_dot)
 
     def as_tuple(self) -> tuple[complex, complex, complex, complex]:
         return (self.psi1, self.psi2, self.psi1_dot, self.psi2_dot)
+
+
+_set_psi1, _set_psi2, _set_psi1_dot, _set_psi2_dot = slot_setters(PoincareBispinor)
 
 
 def _translation_part(cfg: SpinConfig) -> tuple[Factor, Callable[[Sequence[float]], Factor]]:

@@ -14,9 +14,10 @@ one format of its re and im parts.  The text is byte-identical to
 ``json.dumps(doc, indent=2)`` or to ``format(v, ".17g")`` per cell.  The
 parser is built once per process, on the first ``main`` call, not at import.
 
-The CLI runs on the standard library.  ``verify``, the one module that
-imports numpy, is loaded only by the ``verify`` command and by ``spinor``
-for its residual norm.
+The CLI runs on the standard library, and imports only what a command
+uses.  ``json`` is loaded only for JSON output (``--format json``) and by
+``verify``; ``verify``, the one module that imports numpy, is loaded only by
+the ``verify`` command and by ``spinor`` for its residual norm.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import cmath
 import contextlib
 import functools
 import itertools
-import json
 import math
 import sys
 
@@ -118,6 +118,8 @@ def _emit(doc: dict, fmt: str, out_path: str | None, fields, axes: list,
         head, first, end = ",".join(fields) + "\n", ",".join(slots) + "\n", ""
         rest = first
     else:
+        import json
+
         # The text of json.dumps(doc, indent=2): its head and tail come
         # from a one-row placeholder, and each row is set out as the
         # indented encoder sets out a dict two levels deep
@@ -260,6 +262,8 @@ _WAVEFUNCTION_FIELDS = (
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import verify
 
     # --suite and --tol are checked and --out opened before any suite

@@ -13,10 +13,10 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from .errors import OffShellError, PhaseOverflow
+from .value import Value, slot_setters
 
 ON_SHELL_RTOL = 1e-12
 
@@ -27,15 +27,19 @@ def _require_finite(*components: float) -> None:
 
 
 def _shell_energy(px: float, py: float, pz: float, m: float) -> float:
-    """sqrt(m² + |p|²).  A square past the double range raises OffShellError
-    naming the components, and so does a positive mass whose m² + |p|² is
-    below the smallest normal double, where the squares have lost their
-    precision.  The squares stay ``**``: ``x*x`` differs from ``x**2`` in
-    the last bit for some doubles, which would move E."""
+    """sqrt(m² + |p|²).  Finite components whose m² + |p|² is past the
+    double range, in a square or in their sum, raise OffShellError naming
+    them, and so does a positive mass whose m² + |p|² is below the smallest
+    normal double, where the squares have lost their precision.  An
+    infinite component gives E = inf, which ``FourMomentum`` refuses as not
+    finite.  The squares stay ``**``: ``x*x`` differs from ``x**2`` in the
+    last bit for some doubles, which would move E."""
     try:
         square = m**2 + px**2 + py**2 + pz**2
     except OverflowError:
         raise _shell_error(px, py, pz, m, "overflows") from None
+    if square == math.inf and all(map(math.isfinite, (px, py, pz, m))):
+        raise _shell_error(px, py, pz, m, "overflows")
     if m > 0.0 and square < sys.float_info.min:
         raise _shell_error(px, py, pz, m, "underflows")
     return math.sqrt(square)
@@ -45,25 +49,23 @@ def _shell_error(px: float, py: float, pz: float, m: float, how: str) -> OffShel
     return OffShellError(f"the shell energy of (px, py, pz, m) = {(px, py, pz, m)} {how} a double")
 
 
-@dataclass(frozen=True)
-class FourMomentum:
+class FourMomentum(Value):
     """On-shell four-momentum; use ``off_shell`` for deliberate violations."""
 
-    E: float
-    px: float
-    py: float
-    pz: float
-    m: float
+    __slots__ = ("E", "px", "py", "pz", "m")
 
-    def __post_init__(self) -> None:
-        _require_finite(self.E, self.px, self.py, self.pz, self.m)
-        if not self.m > 0.0:
-            raise OffShellError(f"mass must be positive, got {self.m}")
-        e0 = self.shell_energy
-        if abs(self.E - e0) > ON_SHELL_RTOL * e0:
-            raise OffShellError(
-                f"E = {self.E} violates the shell relation (expected {e0})"
-            )
+    def __init__(self, E: float, px: float, py: float, pz: float, m: float):
+        _require_finite(E, px, py, pz, m)
+        if not m > 0.0:
+            raise OffShellError(f"mass must be positive, got {m}")
+        e0 = _shell_energy(px, py, pz, m)
+        if abs(E - e0) > ON_SHELL_RTOL * e0:
+            raise OffShellError(f"E = {E} violates the shell relation (expected {e0})")
+        _set_E(self, E)
+        _set_px(self, px)
+        _set_py(self, py)
+        _set_pz(self, pz)
+        _set_m(self, m)
 
     @property
     def shell_energy(self) -> float:
@@ -94,11 +96,22 @@ class FourMomentum:
         return self.m > 0.0 and abs(self.E - self.shell_energy) <= ON_SHELL_RTOL * self.shell_energy
 
 
-@dataclass(frozen=True)
-class DiracAmplitude:
-    components: tuple[complex, complex, complex, complex]
-    kind: Literal["u", "v"]
-    r: int
+_set_E, _set_px, _set_py, _set_pz, _set_m = slot_setters(FourMomentum)
+
+
+class DiracAmplitude(Value):
+    """The four entries of u_r(p) (``kind`` "u") or v_r(p) ("v")."""
+
+    __slots__ = ("components", "kind", "r")
+
+    def __init__(self, components: tuple[complex, complex, complex, complex],
+                 kind: Literal["u", "v"], r: int):
+        _set_components(self, components)
+        _set_kind(self, kind)
+        _set_r(self, r)
+
+
+_set_components, _set_kind, _set_r = slot_setters(DiracAmplitude)
 
 
 def _scaled(n: float, entries: list[complex]) -> tuple[complex, ...]:

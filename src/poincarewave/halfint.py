@@ -7,19 +7,27 @@ they are stored as twice their value in a plain int.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+
+from .value import Value, slot_setters
 
 
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """A number q represented exactly by the integer 2q."""
+@functools.total_ordering
+class HalfInt(Value):
+    """A number q represented exactly by the integer 2q, ordered by q."""
 
-    twice: int
+    __slots__ = ("twice",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.twice, int):
+    def __init__(self, twice: int):
+        if not isinstance(twice, int):
             raise TypeError("HalfInt stores twice the value as an int")
+        _set_twice(self, twice)
+
+    def __lt__(self, other: "HalfInt") -> bool:
+        if other.__class__ is self.__class__:
+            return self.twice < other.twice
+        return NotImplemented
 
     @classmethod
     def from_value(cls, value) -> "HalfInt":
@@ -62,6 +70,9 @@ class HalfInt:
         if self.is_integer:
             return str(self.twice // 2)
         return f"{self.twice}/2"
+
+
+_set_twice, = slot_setters(HalfInt)
 
 
 def half(twice: int) -> HalfInt:

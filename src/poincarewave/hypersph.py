@@ -15,12 +15,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import DomainError, InvalidIndex, PoleInDenominator
 from .halfint import HalfInt, unit_range
 from .specfun import GaussSeries, _check_pole
+from .value import Value, slot_setters
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 
@@ -29,39 +29,48 @@ _EVALUABLE_RULE = ("Z^l_m is evaluable for every m at l in {0, 1/2, 1}, for m = 
                   "or m >= l - 1 at half-integer l >= 3/2, and for no m at integer l >= 2")
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(Value):
     """Six Lorentz-group parameters (phi, eps, theta, tau, phi2, eps2).
 
     The last pair is identically zero for every function evaluated here.
     """
 
-    phi: float = 0.0
-    eps: float = 0.0
-    theta: float = 0.0
-    tau: float = 0.0
-    phi2: float = 0.0
-    eps2: float = 0.0
+    __slots__ = ("phi", "eps", "theta", "tau", "phi2", "eps2")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi) and math.isfinite(self.eps)):
-            raise DomainError(f"phi and eps must be finite, got {self.phi} and {self.eps}")
-        if self.phi2 != 0.0 or self.eps2 != 0.0:
+    def __init__(self, phi: float = 0.0, eps: float = 0.0, theta: float = 0.0,
+                 tau: float = 0.0, phi2: float = 0.0, eps2: float = 0.0):
+        if not (math.isfinite(phi) and math.isfinite(eps)):
+            raise DomainError(f"phi and eps must be finite, got {phi} and {eps}")
+        if phi2 != 0.0 or eps2 != 0.0:
             raise DomainError("phi2 and eps2 must be zero")
+        _set_phi(self, phi)
+        _set_eps(self, eps)
+        _set_theta(self, theta)
+        _set_tau(self, tau)
+        _set_phi2(self, phi2)
+        _set_eps2(self, eps2)
 
 
-@dataclass(frozen=True)
-class HypersphIndex:
-    l: HalfInt
-    m: HalfInt
+_set_phi, _set_eps, _set_theta, _set_tau, _set_phi2, _set_eps2 = slot_setters(EulerAngles)
 
-    def __post_init__(self) -> None:
-        if self.l.twice < 0:
-            raise InvalidIndex(f"l must be non-negative, got {self.l}")
-        if (self.m.twice - self.l.twice) % 2 != 0:
-            raise InvalidIndex(f"m = {self.m} not congruent to l = {self.l} mod 1")
-        if abs(self.m.twice) > self.l.twice:
-            raise InvalidIndex(f"|m| = |{self.m}| exceeds l = {self.l}")
+
+class HypersphIndex(Value):
+    """The index pair (l, m) of Z^l_m."""
+
+    __slots__ = ("l", "m")
+
+    def __init__(self, l: HalfInt, m: HalfInt):
+        if l.twice < 0:
+            raise InvalidIndex(f"l must be non-negative, got {l}")
+        if (m.twice - l.twice) % 2 != 0:
+            raise InvalidIndex(f"m = {m} not congruent to l = {l} mod 1")
+        if abs(m.twice) > l.twice:
+            raise InvalidIndex(f"|m| = |{m}| exceeds l = {l}")
+        _set_l(self, l)
+        _set_m(self, m)
+
+
+_set_l, _set_m = slot_setters(HypersphIndex)
 
 
 def sum_index_values(idx: HypersphIndex) -> list[HalfInt]:

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from .errors import DomainError, NonPositiveProduct
 from .halfint import HalfInt
 from . import specfun
+from .value import Value, slot_setters
 
 SignPair = Literal["+-", "-+"]
 
@@ -34,33 +34,45 @@ def _positive_half_integer(q: HalfInt) -> bool:
     return q.twice > 0 and q.twice % 2 == 1
 
 
-@dataclass(frozen=True)
-class RadialParams:
-    kappa: complex
-    kappa_dot: complex
-    C1: complex
-    C2: complex
-    l: HalfInt
-    l_dot: HalfInt
+class RadialParams(Value):
+    """The radial mass parameters, the constants of the two Bessel branches
+    and the orders l and l_dot."""
 
-    def __post_init__(self) -> None:
-        for name in ("kappa", "kappa_dot", "C1", "C2"):
-            if not cmath.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.kappa == 0 or self.kappa_dot == 0:
+    __slots__ = ("kappa", "kappa_dot", "C1", "C2", "l", "l_dot")
+
+    def __init__(self, kappa: complex, kappa_dot: complex, C1: complex, C2: complex,
+                 l: HalfInt, l_dot: HalfInt):
+        for name, v in (("kappa", kappa), ("kappa_dot", kappa_dot), ("C1", C1), ("C2", C2)):
+            if not cmath.isfinite(v):
+                raise DomainError(f"{name} must be finite, got {v}")
+        if kappa == 0 or kappa_dot == 0:
             raise NonPositiveProduct("kappa and kappa_dot must be nonzero")
-        for name, q in (("l", self.l), ("l_dot", self.l_dot)):
+        for name, q in (("l", l), ("l_dot", l_dot)):
             if not _positive_half_integer(q):
                 raise ValueError(f"{name} must be in {{1/2, 3/2, 5/2, ...}}, got {q}")
+        _set_kappa(self, kappa)
+        _set_kappa_dot(self, kappa_dot)
+        _set_C1(self, C1)
+        _set_C2(self, C2)
+        _set_l(self, l)
+        _set_l_dot(self, l_dot)
 
 
-@dataclass(frozen=True)
-class RadialPoint:
-    z: float
+_set_kappa, _set_kappa_dot, _set_C1, _set_C2, _set_l, _set_l_dot = slot_setters(RadialParams)
 
-    def __post_init__(self) -> None:
-        if not self.z > 0.0:
-            raise ValueError(f"radial coordinate must be positive, got {self.z}")
+
+class RadialPoint(Value):
+    """A point z > 0 on the real radial slice."""
+
+    __slots__ = ("z",)
+
+    def __init__(self, z: float):
+        if not z > 0.0:
+            raise ValueError(f"radial coordinate must be positive, got {z}")
+        _set_z(self, z)
+
+
+_set_z, = slot_setters(RadialPoint)
 
 
 def radial_values(rp: RadialParams, z: float, a: float):

@@ -195,6 +195,15 @@ def test_non_finite_x_rejected(value):
             GroupPoint(tuple(x), ANG)
 
 
+@pytest.mark.parametrize("x", [(0.1, 0.2, 0.3), (0.1, 0.2, 0.3, 0.4, 0.5), (), [0.1] * 8])
+def test_group_point_holds_exactly_four_coordinates(x):
+    # a fifth coordinate was ignored in silence, and a missing fourth raised
+    # IndexError from bispinor
+    with pytest.raises(DomainError) as e:
+        GroupPoint(x, ANG)
+    assert str(e.value) == f"x must hold four coordinates, got {x}"
+
+
 def _psi_bits(values):
     return [struct.pack("2d", v.real, v.imag) for v in values]
 

@@ -379,6 +379,24 @@ def test_imports_do_not_load_mpmath():
                    capture_output=True)
 
 
+def test_import_and_csv_command_load_only_what_they_use():
+    # dataclasses would bring inspect, ast, dis and tokenize; json is loaded
+    # only for JSON output and by verify
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import poincarewave, poincarewave.cli; "
+            "unused = ('dataclasses', 'inspect', 'json', 'numpy', 'mpmath'); "
+            "loaded = [name for name in unused if name in sys.modules]; "
+            "assert loaded == [], f'imported: {loaded}'; "
+            "assert poincarewave.cli.main(['wavefunction', '--m', '1', '--pz', '0.75', "
+            "'--l', '1/2', '--kappa', '0.5', '--kappa-dot', '0.5', '--x1', '0:1:2', "
+            "'--format', 'csv']) == 0; "
+            "assert 'json' not in sys.modules, 'json imported by a CSV command'")
+    proc = subprocess.run([sys.executable, "-c", code, str(src)], timeout=60,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_every_exported_name_resolves():
     import poincarewave
 
@@ -812,6 +830,12 @@ def test_import_builds_no_parser():
      "at m=-1/2, phi=1.5707963267948966, eps=1420.0 overflows"),
     ((*_WF, "--c1", "1,2,3"), "complex value '1,2,3' is neither 're,im' nor a real number"),
     ((*_WF, "--c1", "1,"), "complex value '1,' is neither 're,im' nor a real number"),
+    # each square is finite, their sum m^2 + |p|^2 is not
+    (("spinor", "--kind", "u", "--r", "1", "--m", "1", "--px", "1.2e154", "--py", "1.2e154"),
+     "the shell energy of (px, py, pz, m) = (1.2e+154, 1.2e+154, 0.0, 1.0) overflows a double"),
+    (("wavefunction", "--m", "1", "--px", "1.2e154", "--py", "1.2e154", "--l", "1/2",
+      "--kappa", "0.5", "--kappa-dot", "0.5"),
+     "the shell energy of (px, py, pz, m) = (1.2e+154, 1.2e+154, 0.0, 1.0) overflows a double"),
 ])
 def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)
