@@ -268,14 +268,16 @@ def sweep(
     return (tuple(map(operator.mul, ov, iv)) for ov in outer for iv in inner)
 
 
-def _product(seqs: Sequence[Sequence[float]]) -> Iterator[tuple[float, ...]]:
-    """The points of ``itertools.product(*seqs)`` in its order.  Each
-    sequence is read anew on every pass instead of being copied into a
-    tuple first, so a lazy axis stays lazy."""
+def _product(seqs: Sequence[Sequence], f: Callable) -> Iterator[tuple]:
+    """The points of ``itertools.product(*seqs)`` in its order, with ``f``
+    applied to each value as the walk reaches it: a value of a sequence
+    once per point of the sequences before it.  Each sequence is read
+    anew on every pass instead of being copied into a tuple first, so a
+    lazy axis stays lazy, and nothing is held but the current point."""
     if not seqs:
         return iter([()])
     *outer, last = seqs
-    return ((*head, v) for head in _product(outer) for v in last)
+    return ((*head, v) for head in _product(outer, f) for v in map(f, last))
 
 
 def _largest(table: Sequence[tuple[complex, ...]]) -> list[float]:
@@ -342,7 +344,8 @@ def grid_rows(
     kernels = [_kernels(theta, tau) for theta, tau in itertools.product(thetas, taus)]
     phases = [_phases(EulerAngles(phi, eps)) for phi, eps in itertools.product(phis, epss)]
     angles = [_lorentz(coefficients, z, ph) for ph in phases for z in kernels]
-    xs = map(translation, _product([axes[name] for name in _X_AXES]))
+    # +v is v for a float: the cheapest identity
+    xs = map(translation, _product([axes[name] for name in _X_AXES], operator.pos))
     return sweep(xs, angles, [abs(v) * _ROUNDING_MARGIN for v in amplitudes])
 
 

@@ -17,7 +17,7 @@ parser is built once per process, on the first ``main`` call, not at import.
 The CLI runs on the standard library, and imports only what a command
 uses.  ``json`` is loaded only for JSON output (``--format json``) and by
 ``verify``; ``verify``, the one module that imports numpy, is loaded only by
-the ``verify`` command and by ``spinor`` for its residual norm.
+the ``verify`` command and by ``spinor``'s JSON output for its residual norm.
 """
 
 from __future__ import annotations
@@ -84,16 +84,6 @@ def _output(path: str | None):
 _RENDER = {"csv": "%.17g".__mod__, "json": str}
 
 
-def _streamed(render, axes: list):
-    """The text of each point of ``product(*axes)`` in its order, each
-    value rendered when it is read: a value of an axis once per point of
-    the axes before it.  Nothing is held but the current point."""
-    if not axes:
-        return iter([()])
-    *outer, last = axes
-    return ((*head, render(v)) for head in _streamed(render, outer) for v in last)
-
-
 def _emit(doc: dict, fmt: str, out_path: str | None, fields, axes: list,
           streamed: int = 0, moduli: bool = False) -> None:
     """Write ``doc`` to ``out_path``, or to stdout, one row at a time.
@@ -130,7 +120,7 @@ def _emit(doc: dict, fmt: str, out_path: str | None, fields, axes: list,
         rest, end = ",\n    " + first, "\n  ]" + tail
 
     tables = [list(map(render, axis)) for axis in axes[streamed:]]
-    keys = ((*outer, *inner) for outer in _streamed(render, axes[:streamed])
+    keys = ((*outer, *inner) for outer in assembly._product(axes[:streamed], render)
             for inner in itertools.product(*tables))
     with _output(out_path) as fh:
         fh.write(head)
@@ -163,8 +153,6 @@ def _complex_flag(s: str) -> complex:
 # ---------------------------------------------------------------- spinor
 
 def cmd_spinor(args) -> int:
-    from . import verify
-
     if args.off_shell:
         if args.E is None:
             raise DomainError("--off-shell requires an explicit --E")
@@ -184,8 +172,11 @@ def cmd_spinor(args) -> int:
             "m": p.m,
         },
         "rows": [(v,) for v in amp],
-        "residual_norm": verify.spinor_residual_norm(args.kind, args.r, p),
     }
+    if args.format == "json":  # CSV writes the rows alone, so only JSON loads verify
+        from . import verify
+
+        doc["residual_norm"] = verify.spinor_residual_norm(args.kind, args.r, p)
     _emit(doc, args.format, args.out, ("component", "re", "im"), [range(1, len(amp) + 1)])
     return 0
 

@@ -17,9 +17,9 @@ import functools
 import math
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import DomainError, InvalidIndex, PoleInDenominator
+from .errors import DomainError, InvalidIndex, PoleInDenominator, TermCapExceeded
 from .halfint import HalfInt, unit_range
-from .specfun import GaussSeries, _check_pole
+from .specfun import SERIES_TERM_CAP, GaussSeries, _check_pole
 from .value import Value, slot_setters
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -206,10 +206,11 @@ def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
     An index that is not evaluable raises PoleInDenominator here, with the
     message of its first pole (k from -l up, the theta factor before the
     tau factor) followed by the rule of which indices are evaluable, before
-    any factor is built.  Past l = 1001/2 an evaluable index has a
-    polynomial factor of degree 2l - 1 > SERIES_TERM_CAP and raises
-    TermCapExceeded.  A build that raised is not kept, so each call raises
-    a fresh exception.
+    any factor is built.  Past l = 1001/2 an evaluable index raises
+    TermCapExceeded naming l right after the pole checks, also before any
+    factor is built: its k = l tau factor 2F1(1 - l, 1 - 2l; 1 - l; y) is
+    a polynomial of degree 2l - 1 > SERIES_TERM_CAP.  A build that raised
+    is not kept, so each call raises a fresh exception.
     """
     return _compiled_plan(idx.l.twice, idx.m.twice)
 
@@ -217,7 +218,7 @@ def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
 def _check_poles(idx: HypersphIndex) -> None:
     """Raise the PoleInDenominator of the first pole of idx's k-sum, if any."""
     try:
-        for k in sum_index_values(idx):
+        for k in map(HalfInt, range(-idx.l.twice, idx.l.twice + 1, 2)):
             params = _term_params(idx, k)
             _check_pole(*params[:3])
             _check_pole(*params[3:])
@@ -230,6 +231,10 @@ def _check_poles(idx: HypersphIndex) -> None:
 def _compiled_plan(l_twice: int, m_twice: int) -> tuple[KernelTerm, ...]:
     idx = HypersphIndex(HalfInt(l_twice), HalfInt(m_twice))
     _check_poles(idx)
+    if l_twice - 1 > SERIES_TERM_CAP:
+        raise TermCapExceeded(
+            f"Z^{idx.l}_{idx.m}: at l = {idx.l} its k = l factor 2F1(1 - l, 1 - 2l; 1 - l; y) "
+            f"has {l_twice - 1} terms, past the cap of {SERIES_TERM_CAP}")
     terms = []
     for k in sum_index_values(idx):
         n = (idx.m.twice - k.twice) // 2  # m - k, an integer

@@ -162,33 +162,24 @@ def bessel_j_half(nu: HalfInt, x: float) -> float:
     """Bessel function J_nu for half-integer nu (positive or negative).
 
     Seeds J_{1/2} = sqrt(2/(pi x)) sin x and J_{-1/2} = sqrt(2/(pi x)) cos x
-    feed the three-term recurrence, applied upward for nu > 1/2 and downward
-    for nu < -1/2.  Downward, and upward while x >= nu, the recurrence
-    tracks the dominant solution and is stable.  Upward with x < nu it is
-    not: J_nu is then the minimal solution and the error grows with each
-    step (relative error 0.14 at nu = 7/2, x = 0.01).
+    feed the three-term recurrence J_{v+s} = (2v/x) J_v - J_{v-s}, stepping
+    s = +1 from (J_{-1/2}, J_{1/2}) for nu > 0 and s = -1 from
+    (J_{1/2}, J_{-1/2}) for nu < 0, |nu| - 1/2 steps in all.  Downward, and
+    upward while x >= nu, the recurrence tracks the dominant solution and
+    is stable.  Upward with x < nu it is not: J_nu is then the minimal
+    solution and the error grows with each step (relative error 0.14 at
+    nu = 7/2, x = 0.01).
     """
     if nu.is_integer:
         raise IntegerOrderUnsupported(f"integer order {nu} not supported")
     if not x > 0.0:
         raise NonPositiveArgument(f"Bessel argument must be positive, got {x}")
     jm, jp = _seed_half(x)  # J_{-1/2}, J_{+1/2}
-    if nu.twice == 1:
-        return jp
-    if nu.twice == -1:
-        return jm
-    if nu.twice > 0:
-        prev, cur = jm, jp
-        v = 0.5
-        while v < nu.twice / 2.0:
-            prev, cur = cur, (2.0 * v / x) * cur - prev
-            v += 1.0
-        return cur
-    prev, cur = jp, jm
-    v = -0.5
-    while v > nu.twice / 2.0:
+    step, prev, cur = (1.0, jm, jp) if nu.twice > 0 else (-1.0, jp, jm)
+    v = 0.5 * step
+    for _ in range(abs(nu.twice) // 2):
         prev, cur = cur, (2.0 * v / x) * cur - prev
-        v -= 1.0
+        v += step
     return cur
 
 

@@ -48,6 +48,14 @@ def test_spinor_csv(capsys):
     assert lines[0] == "component,re,im"
     assert len(lines) == 5
     assert lines[4].startswith("4,1,")
+    # CSV does not write the residual norm, so a residual that overflows
+    # does not refuse the finite amplitudes; JSON refuses them (see
+    # test_range_errors_exit_2_naming_the_input)
+    code, out, err = run(capsys, "spinor", "--kind", "u", "--r", "1", "--m", "1", "--off-shell",
+                         "--E", "1e300", "--pz", "0.5", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.split("\n")[1:-1] == ["1,7.0710678118654757e+149,0", "2,0,0",
+                                      "3,3.535533905932738e-151,0", "4,0,0"]
 
 
 def test_spinor_domain_error_exit_2(capsys):
@@ -381,7 +389,8 @@ def test_imports_do_not_load_mpmath():
 
 def test_import_and_csv_command_load_only_what_they_use():
     # dataclasses would bring inspect, ast, dis and tokenize; json is loaded
-    # only for JSON output and by verify
+    # only for JSON output and by verify, and verify (with numpy) only by
+    # verify and by spinor's JSON output
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "import poincarewave, poincarewave.cli; "
@@ -391,7 +400,11 @@ def test_import_and_csv_command_load_only_what_they_use():
             "assert poincarewave.cli.main(['wavefunction', '--m', '1', '--pz', '0.75', "
             "'--l', '1/2', '--kappa', '0.5', '--kappa-dot', '0.5', '--x1', '0:1:2', "
             "'--format', 'csv']) == 0; "
-            "assert 'json' not in sys.modules, 'json imported by a CSV command'")
+            "assert 'json' not in sys.modules, 'json imported by a CSV command'; "
+            "assert poincarewave.cli.main(['spinor', '--kind', 'u', '--r', '1', '--m', '1', "
+            "'--format', 'csv']) == 0; "
+            "loaded = [name for name in ('numpy', 'poincarewave.verify') if name in sys.modules]; "
+            "assert loaded == [], f'imported by spinor --format csv: {loaded}'")
     proc = subprocess.run([sys.executable, "-c", code, str(src)], timeout=60,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -836,6 +849,9 @@ def test_import_builds_no_parser():
     (("wavefunction", "--m", "1", "--px", "1.2e154", "--py", "1.2e154", "--l", "1/2",
       "--kappa", "0.5", "--kappa-dot", "0.5"),
      "the shell energy of (px, py, pz, m) = (1.2e+154, 1.2e+154, 0.0, 1.0) overflows a double"),
+    # finite amplitudes, an off-shell residual past the double range
+    (("spinor", "--kind", "u", "--r", "1", "--m", "1", "--off-shell", "--E", "1e300", "--pz",
+      "0.5", "--format", "json"), "the Dirac residual norm at E = 1e+300 is not finite"),
 ])
 def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     code, out, err = run(capsys, *argv)

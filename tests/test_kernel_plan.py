@@ -335,7 +335,7 @@ def test_plan_past_the_term_cap_is_refused_after_the_pole_checks():
     # cap of 1000 at l = 1003/2; whether an index is evaluable still rests
     # on its poles alone, and a non-evaluable one still raises its pole
     for l2, m2, evaluable in ((1003, -1003, True), (1003, 1003, True), (1003, 1, False),
-                              (1002, -1002, False)):
+                              (1002, -1002, False), (1101, -1101, True), (1101, 1101, True)):
         idx = HypersphIndex(half(l2), half(m2))
         assert hypersph.index_is_evaluable(idx) is evaluable
         if not evaluable:
@@ -343,6 +343,17 @@ def test_plan_past_the_term_cap_is_refused_after_the_pole_checks():
                 z_assoc(idx, 1.0, 1.0)
     with pytest.raises(TermCapExceeded, match="1002 terms, past the cap of 1000"):
         z_assoc(HypersphIndex(half(1003), half(-1003)), 1.0, 1.0)
+    # refused before any factor is built: at l = 1101/2 the binomial
+    # coefficients of the k = -l closed form are past the double range
+    for m2 in (-1101, 1101):
+        idx = HypersphIndex(half(1101), half(m2))
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(TermCapExceeded, match="at l = 1101/2 .*1100 terms, past the cap"):
+                z_assoc(idx, 1.0, 1.0)
+            seconds.append(time.perf_counter() - start)
+        assert min(seconds) < 0.05
 
 
 def test_plan_cache_is_bounded():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -17,6 +18,9 @@ from poincarewave.specfun import (
     bessel_j_half_derivative,
     hyp2f1,
 )
+
+
+_BESSEL_SHA256 = "d0fbcba414904e3cd467fa10ec0b8ea5466cf9242b52127a2827515225c53d40"
 
 
 class TestHyp2F1:
@@ -106,6 +110,24 @@ class TestBesselHalf:
         h = 1e-6
         fd = (bessel_j_half(half(3), x + h) - bessel_j_half(half(3), x - h)) / (2 * h)
         assert bessel_j_half_derivative(half(3), x) == pytest.approx(fd, rel=1e-8)
+
+    def test_values_are_pinned_where_the_recurrence_is_stable(self):
+        # the recurrence's values, bit for bit, on the geometric grid
+        # x = 1e-3 * 1.125^i up to 1e3: every x for nu = -41/2 ... -1/2, and
+        # x >= nu for nu = 1/2 ... 41/2; x < nu is left out, where the upward
+        # recurrence loses accuracy and another method may replace it
+        xs = [1e-3]
+        while xs[-1] * 1.125 <= 1e3:
+            xs.append(xs[-1] * 1.125)
+        digest = hashlib.sha256()
+        pinned = 0
+        for twice in range(-41, 42, 2):
+            for x in xs:
+                if twice < 0 or x >= twice / 2:
+                    digest.update(bessel_j_half(half(twice), x).hex().encode())
+                    pinned += 1
+        assert (len(xs), pinned) == (118, 3347)
+        assert digest.hexdigest() == _BESSEL_SHA256
 
     def test_integer_order_rejected(self):
         with pytest.raises(IntegerOrderUnsupported):
