@@ -178,11 +178,6 @@ def _radial_coefficients(cfg: SpinConfig) -> Factor:
     return f1, s * f1, -s * f4, f4
 
 
-def _kernels(theta: float, tau: float) -> tuple[complex, complex]:
-    """Z^{1/2}_{+1/2} and Z^{1/2}_{-1/2} at (theta, tau)."""
-    return hypersph.z_assoc(_UP, theta, tau), hypersph.z_assoc(_DOWN, theta, tau)
-
-
 def _phases(ang: EulerAngles) -> Factor:
     """The phases of M^{+1/2}, M^{-1/2}, Mdot^{+1/2} and Mdot^{-1/2} at
     (phi, eps)."""
@@ -212,7 +207,8 @@ def lorentz_factor(cfg: SpinConfig, ang: EulerAngles) -> Factor:
     ``SpinConfig`` holds to l = l_dot = 1/2; the dotted family shares the
     undotted kernel and differs only by its phase.
     """
-    return _lorentz(_radial_coefficients(cfg), _kernels(ang.theta, ang.tau), _phases(ang))
+    z = hypersph.z_assoc(_UP, ang.theta, ang.tau), hypersph.z_assoc(_DOWN, ang.theta, ang.tau)
+    return _lorentz(_radial_coefficients(cfg), z, _phases(ang))
 
 
 def translation_factor(cfg: SpinConfig, gp: GroupPoint) -> Factor:
@@ -307,11 +303,12 @@ def grid_rows(
     row as the componentwise product of the translation factor, a function
     of (x1, x2, x3, x4), with the Lorentz factor, a function of
     (phi, eps, theta, tau).  The Lorentz factor is a table over the angle
-    sub-grid, made from the two kernels Z^{1/2}_{+-1/2} once per
-    (theta, tau) point and the four phases once per (phi, eps) point; the
-    tables are read by position, so every value, signed zeros among them,
-    keeps its own entry.  The translation factor is streamed: it is
-    evaluated when the iterator reaches its x point.
+    sub-grid, made from the two kernels Z^{1/2}_{+-1/2} over the
+    (theta, tau) sub-grid, from one ``hypersph.z_table`` call whose factors
+    run once per theta and once per tau, and the four phases once per
+    (phi, eps) point; the tables are read by position, so every value,
+    signed zeros among them, keeps its own entry.  The translation factor
+    is streamed: it is evaluated when the iterator reaches its x point.
 
     Everything the translation factor could raise is decided before any x
     is evaluated: its amplitude entries, and PhaseOverflow unless
@@ -321,9 +318,11 @@ def grid_rows(
     ``sweep``.  The size cap is checked first, from the point counts, so a
     Linspace of more points than ``len`` can return is refused by the cap.
     The (theta, tau) values are checked next, with ``z_assoc``'s message
-    for the first point in row order outside its domain; the kernel table
-    is built before the phase table, so a kernel error is raised before a
-    phase error.  Every error is raised before this returns.
+    for the first point in row order outside its domain.  A kernel error
+    is ``z_assoc``'s at the first failing (theta, tau) point in row order,
+    the m = +1/2 kernel's where both fail there, and the kernel table is
+    built before the phase table, so it is raised before a phase error.
+    Every error is raised before this returns.
     """
     for name in axes:
         if name not in GRID_AXES:
@@ -341,9 +340,9 @@ def grid_rows(
     amplitudes, translation = _translation_part(cfg)
     dirac.check_phase_bound(cfg.p, [_max_abs(axes[name]) for name in _X_AXES])
     coefficients = _radial_coefficients(cfg)
-    kernels = [_kernels(theta, tau) for theta, tau in itertools.product(thetas, taus)]
+    ups, downs = hypersph.z_table((_UP, _DOWN), thetas, taus)
     phases = [_phases(EulerAngles(phi, eps)) for phi, eps in itertools.product(phis, epss)]
-    angles = [_lorentz(coefficients, z, ph) for ph in phases for z in kernels]
+    angles = [_lorentz(coefficients, z, ph) for ph in phases for z in zip(ups, downs)]
     # +v is v for a float: the cheapest identity
     xs = map(translation, _product([axes[name] for name in _X_AXES], operator.pos))
     return sweep(xs, angles, [abs(v) * _ROUNDING_MARGIN for v in amplitudes])

@@ -187,16 +187,15 @@ def cmd_hypersph(args) -> int:
     idx = hypersph.HypersphIndex(HalfInt.from_value(args.l), HalfInt.from_value(args.m))
     axes = thetas, taus, phis, epss = _axes([args.theta, args.tau, args.phi, args.eps])
     # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
-    # (theta, tau) sub-grid in one z_grid call, streamed in row order over
+    # (theta, tau) sub-grid in one z_table call, streamed in row order over
     # a table of the phase at each (phi, eps) point
-    grid = hypersph.z_grid(idx, thetas, taus)
+    zs, = hypersph.z_table((idx,), thetas, taus)
     phases = [(hypersph.phase(idx.m, hypersph.EulerAngles(*pe), args.dotted),)
               for pe in itertools.product(phis, epss)]
-    kernel = zip(itertools.chain(*grid))
     doc = {
         "command": "hypersph",
         "inputs": {"l": str(idx.l), "m": str(idx.m), "dotted": bool(args.dotted)},
-        "rows": assembly.sweep(kernel, phases, [max(map(abs, itertools.chain(*grid)))]),
+        "rows": assembly.sweep(zip(zs), phases, [max(map(abs, zs))]),
     }
     _emit(doc, args.format, args.out, ("theta", "tau", "phi", "eps", "re", "im"), axes, streamed=2)
     return 0

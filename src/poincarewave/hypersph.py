@@ -112,7 +112,9 @@ class KernelTerm(NamedTuple):
     F_tau as a function of y = tanh^2(tau/2) and tau: a ``GaussSeries``,
     or one that switches to a closed form past 1/2 (``_theta_factor``,
     ``_tau_factor``).  None marks the l = 1/2 factor that ``z_assoc``
-    takes in closed form.
+    takes in closed form.  ``unit``, ``n`` and ``theta`` make the theta
+    part of the term, ``exponent`` and ``tau`` its tau part, which
+    ``z_table`` makes once per grid value.
     """
 
     unit: complex  # i^n
@@ -216,12 +218,20 @@ def kernel_plan(idx: HypersphIndex) -> tuple[KernelTerm, ...]:
 
 
 def _check_poles(idx: HypersphIndex) -> None:
-    """Raise the PoleInDenominator of the first pole of idx's k-sum, if any."""
+    """Raise the PoleInDenominator of the first pole of idx's k-sum, if any.
+
+    Two values of k decide it, not a walk over all 2l + 1.  The theta
+    factor 2F1(m - l + 1, 1 - l - k; m - k + 1; x) meets a pole at each k
+    in m + 1 ... l - 1 when l + m >= 1, and at no other; the tau factor
+    2F1(1 - l, 1 - l - k; 1 - k; y) at each integer k in 1 ... l - 1.  So
+    the first pole, if any, is the theta factor's at k = m + 1 or the tau
+    factor's at k = 1, checked in the walk's order: k from -l up, the
+    theta factor before the tau factor.
+    """
     try:
-        for k in map(HalfInt, range(-idx.l.twice, idx.l.twice + 1, 2)):
-            params = _term_params(idx, k)
-            _check_pole(*params[:3])
-            _check_pole(*params[3:])
+        for k2, i in sorted([(idx.m.twice + 2, 0), (2, 3)]):  # theta at m + 1, tau at 1
+            if k2 <= idx.l.twice and (idx.l.twice - k2) % 2 == 0:  # a k of the sum
+                _check_pole(*_term_params(idx, HalfInt(k2))[i:i + 3])
     except PoleInDenominator as exc:
         raise PoleInDenominator(f"{exc}; {_EVALUABLE_RULE}") from None
 
@@ -351,25 +361,99 @@ def z_grid(
     """Z^l_m over the grid thetas x taus: row i holds Z(thetas[i], tau) for
     each tau, and each value is bitwise ``z_assoc(idx, theta, tau)``.
 
-    A k-term splits into a theta part and a tau part, and its series
-    factors F_theta and F_tau depend on one grid value each, so for this
-    call every series factor of the plan keeps its values: each runs once
-    per theta and once per tau, and each point is ``z_assoc``'s k-sum of
-    them.  DomainError and PoleInDenominator are raised before any series
-    runs, as ``z_assoc`` raises them at the first point in row order that
-    fails either; any other error is ``z_assoc``'s at the first point in
-    row order that fails, and nothing is returned.
+    The rows of ``z_table``'s table for idx alone, so each factor of the
+    plan runs once per theta and once per tau.  DomainError and
+    PoleInDenominator are raised before any factor runs, as ``z_assoc``
+    raises them at the first point in row order that fails either; any
+    other error is ``z_assoc``'s at the first point in row order that
+    fails, and nothing is returned.
     """
+    zs, = z_table((idx,), thetas, taus)
+    n = len(taus)
+    return [zs[i * n:(i + 1) * n] for i in range(len(thetas))]
+
+
+def z_table(
+    idxs: Sequence[HypersphIndex], thetas: Sequence[float], taus: Sequence[float]
+) -> list[list[complex]]:
+    """One list per index of Z^l_m(theta, tau) over the grid thetas x taus,
+    in row order (theta outer), each value bitwise ``z_assoc``.
+
+    The kernel splits into a theta part and a tau part: per theta,
+    cos^{2l}(theta/2) and, for each k-term, i^n tan^n(theta/2) and F_theta;
+    per tau, cosh^{2l}(tau/2) and, for each k-term, tanh^{-k}(tau/2) and
+    F_tau.  Each part is made once per value and index, and each point is
+    ``_z``'s Kahan k-sum of ((i^n tan^n tanh^{-k}) F_theta) F_tau times
+    cos^{2l} cosh^{2l}, in ``_z``'s order.  The DomainError of the first
+    point in row order outside the domain, and the PoleInDenominator of
+    the first index without a plan, are raised before any part is made.
+    A part that raises, and a value that is not finite, leave their points
+    to ``z_assoc``, taken point by point in row order and, at each point,
+    index by index: so any other error is ``z_assoc``'s at the first point
+    and index that fail, and nothing is returned.
+    """
+    tables: list[list[complex]] = [[] for _ in idxs]
     if not (thetas and taus):
-        return [[] for _ in thetas]
+        return tables
     # z_assoc's error at the first point in row order that is outside the
-    # domain or has no plan: the first point, the plan, then the rest
+    # domain or has no plan: the first point, the plans, then the rest
     _check_open_domain(thetas[0], taus[0])
-    plan = kernel_plan(idx)
+    kernels = [(idx, kernel_plan(idx), table) for idx, table in zip(idxs, tables)]
     check_domain(thetas, taus)
-    plan = tuple(term._replace(theta=term.theta and functools.cache(term.theta),
-                               tau=term.tau and functools.cache(term.tau)) for term in plan)
-    return [[_z(idx, plan, theta, tau) for tau in taus] for theta in thetas]
+    tau_parts = [[_tau_part(idx, plan, tau) for idx, plan, _ in kernels] for tau in taus]
+    for theta in thetas:
+        theta_parts = [_theta_part(idx, plan, theta) for idx, plan, _ in kernels]
+        for tau, parts in zip(taus, tau_parts):
+            for (idx, _, table), tp, hp in zip(kernels, theta_parts, parts):
+                table.append(_value(idx, tp, hp, theta, tau))
+    return tables
+
+
+def _theta_part(idx: HypersphIndex, plan: tuple[KernelTerm, ...], theta: float):
+    """cos^{2l}(theta/2), and i^n tan^n(theta/2) and F_theta for each k-term;
+    None where one of them raises, as ``z_assoc`` then does at each point
+    of theta (or raises an earlier error)."""
+    t = math.tan(0.5 * theta)
+    t2 = t * t
+    x = complex(-t2)
+    try:
+        return math.cos(0.5 * theta) ** idx.l.twice, [
+            (unit * t**n,
+             theta_f(x) if theta_f is not None else (math.log1p(t2) / t2 if t2 else 1.0))
+            for unit, n, _, theta_f, _ in plan]
+    except ArithmeticError:  # OverflowError or ZeroDivisionError
+        return None
+
+
+def _tau_part(idx: HypersphIndex, plan: tuple[KernelTerm, ...], tau: float):
+    """cosh^{2l}(tau/2), and tanh^{-k}(tau/2) and F_tau for each k-term;
+    None where one of them raises, as ``z_assoc`` then does at each point
+    of tau (or raises an earlier error)."""
+    h = math.tanh(0.5 * tau)
+    y = complex(h * h)
+    try:
+        return math.cosh(0.5 * tau) ** idx.l.twice, [
+            (h**exponent, tau_f(y, tau) if tau_f is not None else (0.5 * tau) / h)
+            for _, _, exponent, _, tau_f in plan]
+    except ArithmeticError:  # OverflowError or ZeroDivisionError
+        return None
+
+
+def _value(idx: HypersphIndex, theta_part, tau_part, theta: float, tau: float) -> complex:
+    """Z^l_m(theta, tau) from its two parts, or ``z_assoc``'s where either
+    part raised or the value is not finite."""
+    if theta_part and tau_part:
+        (c, theta_terms), (ch, tau_terms) = theta_part, tau_part
+        total = comp = 0j  # comp: the Kahan carry
+        for (tn, f_theta), (hk, f_tau) in zip(theta_terms, tau_terms):
+            yv = tn * hk * f_theta * f_tau - comp
+            tv = total + yv
+            comp = (tv - total) - yv
+            total = tv
+        z = c * ch * total
+        if math.isfinite(math.hypot(z.real, z.imag)):  # abs(z) would raise past the range
+            return z
+    return z_assoc(idx, theta, tau)
 
 
 def _overflow(idx: HypersphIndex, theta: float, tau: float) -> OverflowError:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import struct
@@ -163,10 +164,33 @@ def _counted(monkeypatch, module, name):
     return calls
 
 
+def _counted_kernel_factors(monkeypatch, thetas, taus):
+    """Count the calls of each factor of the plans of Z^{1/2}_{+-1/2} by
+    factor and arguments; with them, the count of each call when each
+    theta factor runs once per theta and each tau factor once per tau."""
+    calls = collections.Counter()
+
+    def counted(f):
+        def factor(*args):
+            calls[id(f), args] += 1
+            return f(*args)
+        return f and factor  # None marks a closed form of the kernel's own
+
+    plans = {m: hypersph.kernel_plan(hypersph.HypersphIndex(half(1), half(m))) for m in (1, -1)}
+    counting = {m: tuple(term._replace(theta=counted(term.theta), tau=counted(term.tau))
+                         for term in plan) for m, plan in plans.items()}
+    monkeypatch.setattr(hypersph, "kernel_plan", lambda idx: counting[idx.m.twice])
+    once = {key: 1 for plan in plans.values() for term in plan for key in (
+        *((id(term.theta), (complex(-math.tan(0.5 * th) ** 2),)) for th in thetas if term.theta),
+        *((id(term.tau), (complex(math.tanh(0.5 * ta) ** 2), ta)) for ta in taus if term.tau))}
+    return calls, once
+
+
 @pytest.mark.parametrize("n_ang, n_x", [(1, 1), (3, 2), (2, 5)])
 def test_grid_evaluates_each_factor_once_per_sub_grid_point(monkeypatch, n_ang, n_x):
-    # l = l_dot = 1/2: two kernel calls per angle point, two plane waves
-    # per x point, and the radial Bessel work once per call
+    # l = l_dot = 1/2: each factor of the two kernels' plans once per theta
+    # and once per tau and no pointwise kernel, two plane waves per x
+    # point, and the radial Bessel work once per call
     kernel = _counted(monkeypatch, hypersph, "z_assoc")
     waves = _counted(monkeypatch, dirac, "plane_wave")
     bessel = _counted(monkeypatch, specfun, "bessel_j_half")
@@ -178,9 +202,12 @@ def test_grid_evaluates_each_factor_once_per_sub_grid_point(monkeypatch, n_ang, 
         "x3": [0.0, 0.7],
         "tau": [0.4, 2.0],
     }
+    factors, once = _counted_kernel_factors(monkeypatch, axes["theta"], axes["tau"])
     rows = grid_eval(cfg, base, axes)
     assert len(rows) == 4 * n_ang * n_x
-    assert kernel[0] == 2 * (2 * n_ang)
+    assert kernel[0] == 0
+    assert len(once) == 3 * n_ang + 2 * 2  # 3 theta and 2 tau factors are not closed forms
+    assert factors == once
     assert waves[0] == 2 * (2 * n_x)
     assert bessel[0] == 6  # f1 and f4 together, from 3 Bessel values per branch
 
@@ -275,10 +302,12 @@ def test_streamed_grid_rows_match_pointwise_calls(monkeypatch):
             "phi": [0.0, -0.0, 0.3], "eps": [-0.0, 0.0], "theta": [0.5, 2.5], "tau": [0.4, 2.0]}
     kernel = _counted(monkeypatch, hypersph, "z_assoc")
     phase = _counted(monkeypatch, hypersph, "phase")
+    factors, once = _counted_kernel_factors(monkeypatch, axes["theta"], axes["tau"])
     rows = list(grid_rows(cfg, axes))
     assert len(rows) == 3 * 2 * 2 * 3 * 2 * 2 * 2
-    # two kernels per (theta, tau) point, four phases per (phi, eps) point
-    assert (kernel[0], phase[0]) == (2 * 2 * 2, 4 * 3 * 2)
+    # each kernel factor once per theta and once per tau and no pointwise
+    # kernel, four phases per (phi, eps) point
+    assert (factors, kernel[0], phase[0]) == (once, 0, 4 * 3 * 2)
     for psi, point in zip(rows, itertools.product(*axes.values())):
         assert _psi_bits(psi) == _psi_bits(bispinor(cfg, _point(point)).as_tuple())
     order = ("theta", "x4", "phi", "x1", "tau", "eps", "x3", "x2")

@@ -316,6 +316,21 @@ def test_hypersph_evaluates_kernel_once_per_theta_tau_point(monkeypatch, capsys)
         assert complex(row["re"], row["im"]) == hypersph.m_assoc(idx, ang)  # bitwise
 
 
+def test_hypersph_far_past_the_term_cap_exits_2_at_once(capsys):
+    # evaluability is decided in closed form, not by a walk over the 2l + 1
+    # values of k, which took seconds at l = 2000001/2
+    for l, m, named in (("2000001/2", "2000001/2", "has 2000000 terms, past the cap of 1000"),
+                        ("2000000", "0", "2F1(-1999999.0, -2000000.0; 0.0; x): denominator "
+                                         "pole at term 1")):
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "hypersph", "--l", l, "--m", m)
+            seconds.append(time.perf_counter() - start)
+            assert (code, out) == (2, "") and named in err, err
+        assert min(seconds) < 0.05, seconds
+
+
 def test_error_at_last_grid_point_writes_nothing(tmp_path, capsys):
     path = tmp_path / "rows.json"
     argv = ("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "0.5:3.5:4")
@@ -858,6 +873,21 @@ def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_wavefunction_kernel_error_is_the_first_failing_point_and_index(capsys):
+    # the (theta, tau) grid is walked in row order and, at each point,
+    # Z^1/2_+1/2 before Z^1/2_-1/2: at (1e-310, 1) only the m = -1/2 kernel
+    # overflows (its tan^{-1}(theta/2)), at (pi/2, 1410) both do, later
+    wf = ("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5")
+    for axes, named in (
+        (("--theta=1e-310:1.5707963267948966:2", "--tau=1:1410:2"), "-1/2(theta=1e-310, tau=1.0)"),
+        (("--theta=1.5707963267948966", "--tau=1410"), "1/2(theta=1.5707963267948966, tau=1410.0)"),
+    ):
+        assert run(capsys, *wf, *axes) == (2, "", f"error: Z^1/2_{named} overflows\n")
+    for m in (1, -1):
+        with pytest.raises(OverflowError):
+            hypersph.z_assoc(hypersph.HypersphIndex(half(1), half(m)), math.pi / 2, 1410.0)
 
 
 def test_shell_energy_underflow_exit_2_naming_the_momentum(capsys):

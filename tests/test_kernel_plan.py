@@ -263,6 +263,20 @@ def test_evaluable_classification_matches_pole_checks():
         assert hypersph.index_is_evaluable(idx) == (poles == 0)
 
 
+def test_first_pole_in_closed_form_matches_the_walk_up_to_2l_60():
+    # the pole checks name the first pole from its k in closed form; every
+    # index with 2l <= 60 gets the walk's answer and its exact message
+    for l2 in range(61):
+        for m2 in range(-l2, l2 + 1, 2):
+            idx = HypersphIndex(half(l2), half(m2))
+            pole = _ref_first_pole(idx)
+            assert hypersph.index_is_evaluable(idx) is (pole is None), (l2, m2)
+            if pole is not None:
+                with pytest.raises(PoleInDenominator) as info:
+                    kernel_plan(idx)
+                assert str(info.value) == _ref_pole_message(idx), (l2, m2)
+
+
 # ---------------------------------------------------------------- the term cap
 
 
