@@ -15,16 +15,19 @@ check the amplitudes against (``GAMMA``, ``momentum_slash``,
 the CLI's ``spinor`` command reports.  The evaluator itself runs on the
 standard library.
 
+Every check folds its samples with one function, ``_worst``: the largest
+residual, 0.0 when there is none, with a NaN counted as inf.  A comparison
+with NaN is false, so a plain ``max`` would drop a NaN sample and pass; the
+fold makes it fail every tolerance instead.  Relative errors are ``_rel``.
 When a suite mixes checks with different tolerances, the reported
 ``max_residual`` is the worst residual rescaled to the suite's headline
-tolerance (max over checks of residual/tolerance, times the headline), so
-that ``passed == (max_residual <= tolerance)`` holds exactly.
+tolerance (the fold over checks of residual/tolerance, times the headline),
+so that ``passed == (max_residual <= tolerance)`` holds exactly.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -45,7 +48,8 @@ class RunReport:
 
     ``max_residual`` is the worst residual rescaled to ``tolerance`` (for
     ``"all"``, the worst residual/tolerance ratio over the suites, against
-    a tolerance of 1), so ``passed == (max_residual <= tolerance)``.
+    a tolerance of 1), so ``passed == (max_residual <= tolerance)``.  A NaN
+    residual counts as inf, so it fails with ``max_residual`` inf.
     ``details`` names the worst check and holds what the suite adds; for
     ``"all"`` it holds each suite's ``max_residual``, ``tolerance`` and
     ``passed``.  A report carries no wall-clock time, so repeated runs
@@ -60,26 +64,51 @@ class RunReport:
     details: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report as a dict for JSON, with a float that is not finite
+        written as its string ("inf"): strict JSON has no Infinity."""
+        return _strict(asdict(self))
+
+
+def _strict(doc: dict) -> dict:
+    """``doc`` with each float that is not finite, at any depth of its
+    dicts, replaced by its string."""
+    return {k: _strict(v) if isinstance(v, dict)
+            else str(v) if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in doc.items()}
+
+
+def _worst(*residuals) -> float:
+    """The largest of ``residuals``, 0.0 when there is none; a NaN counts
+    as inf, so a sample that is not a number fails every tolerance."""
+    worst = 0.0
+    for r in residuals:
+        if not r <= worst:  # r > worst, or r is NaN
+            worst = r if r == r else math.inf
+    return worst
+
+
+def _rel(got, want) -> float:
+    """|got - want| / |want|, with |want| floored at 1e-300."""
+    return abs(got - want) / max(abs(want), 1e-300)
 
 
 def _worst_ratio(pairs) -> float:
-    """Max of residual/tolerance over (residual, tolerance) pairs, folded
-    from 0.0; a positive residual against a zero tolerance counts as inf."""
-    return functools.reduce(
-        max, (math.inf if t == 0.0 and r > 0.0 else (r / t if t else 0.0) for r, t in pairs), 0.0
-    )
+    """The worst residual/tolerance over (residual, tolerance) pairs; a
+    positive residual against a zero tolerance counts as inf."""
+    return _worst(*(r / t if t else (math.inf if r > 0.0 else 0.0) for r, t in pairs))
 
 
 def _assemble(suite, checks, primary_tol, details, tol_override):
     """A suite's report from its checks, a list of (name, residual,
-    tolerance); ``tol_override``, when given, replaces every tolerance."""
-    checks = [(n, float(r), float(t)) for n, r, t in checks]
+    tolerance); ``tol_override``, when given, replaces every tolerance.
+    Each residual goes through ``_worst``, so a NaN is inf in the worst
+    check, in ``passed`` and in ``max_residual`` alike."""
     if tol_override is not None:
         checks = [(n, r, tol_override) for n, r, _ in checks]
         primary_tol = tol_override
+    checks = [(n, _worst(float(r)), float(t)) for n, r, t in checks]
     if primary_tol == 0.0:
-        worst = max((r for _, r, _ in checks), default=0.0)
+        worst = _worst(*(r for _, r, _ in checks))
     else:
         worst = primary_tol * _worst_ratio((r, t) for _, r, t in checks)
     worst_check = max(checks, key=lambda c: (c[1] / c[2] if c[2] else c[1]))[0] if checks else None
@@ -216,8 +245,8 @@ def verify_dirac():
         for r in (1, 2):
             u = dirac.u_amplitude(r, p).components
             v = dirac.v_amplitude(r, p).components
-            worst_u = max(worst_u, np.linalg.norm((slash - p.m * np.eye(4)) @ u) / np.linalg.norm(u))
-            worst_v = max(worst_v, np.linalg.norm((slash + p.m * np.eye(4)) @ v) / np.linalg.norm(v))
+            worst_u = _worst(worst_u, np.linalg.norm((slash - p.m * np.eye(4)) @ u) / np.linalg.norm(u))
+            worst_v = _worst(worst_v, np.linalg.norm((slash + p.m * np.eye(4)) @ v) / np.linalg.norm(v))
     checks.append(("u_shell_identity", worst_u, 1e-10))
     checks.append(("v_shell_identity", worst_v, 1e-10))
 
@@ -228,14 +257,14 @@ def verify_dirac():
                 uu = adjoint(dirac.u_amplitude(r, p).components) @ dirac.u_amplitude(s, p).components
                 vv = adjoint(dirac.v_amplitude(r, p).components) @ dirac.v_amplitude(s, p).components
                 d = 1.0 if r == s else 0.0
-                worst = max(worst, abs(uu - d), abs(vv + d))
+                worst = _worst(worst, abs(uu - d), abs(vv + d))
     checks.append(("spinor_normalization", worst, 1e-10))
 
     worst = 0.0
     for p in _random_momenta(rng, 100):
         x = rng.uniform(-2.0, 2.0, size=4)
         for kind, r in (("+", 1), ("+", 2), ("-", 1), ("-", 2)):
-            worst = max(worst, float(np.linalg.norm(dirac_residual(kind, r, p, x))))
+            worst = _worst(worst, float(np.linalg.norm(dirac_residual(kind, r, p, x))))
     checks.append(("plane_wave_residual_analytic", worst, 1e-12))
 
     p = dirac.FourMomentum.on_shell(0.3, -0.2, 0.7, 1.0)
@@ -243,7 +272,7 @@ def verify_dirac():
     axis = np.linspace(-1.0, 1.0, 4)
     for x in itertools.product(axis, repeat=4):
         for kind, r in (("+", 1), ("-", 2)):
-            worst = max(worst, float(np.linalg.norm(dirac_residual_fd(kind, r, p, x))))
+            worst = _worst(worst, float(np.linalg.norm(dirac_residual_fd(kind, r, p, x))))
     checks.append(("plane_wave_residual_central_difference", worst, 1e-6))
 
     off = dirac.FourMomentum.off_shell(1.1, 0.0, 0.0, 0.0, 1.0)
@@ -274,8 +303,7 @@ def verify_bessel():
     for tw in (3, -3):
         for x in xs:
             ref = _closed_form_j(tw, float(x))
-            got = specfun.bessel_j_half(HalfInt(tw), float(x))
-            worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
+            worst = _worst(worst, _rel(specfun.bessel_j_half(HalfInt(tw), float(x)), ref))
     checks.append(("recurrence_vs_closed_form", worst, 1e-12))
 
     worst = 0.0
@@ -294,7 +322,7 @@ def verify_bessel():
             )
             res = x * x * d2 + x * d1 + (x * x - nuf * nuf) * y
             scale = abs(x * x * d2) + abs(x * d1) + abs((x * x - nuf * nuf) * y)
-            worst = max(worst, abs(res) / max(scale, 1e-300))
+            worst = _worst(worst, abs(res) / max(scale, 1e-300))
     checks.append(("bessel_ode_residual", worst, 1e-8))
 
     return checks, 1e-8, {}
@@ -302,24 +330,20 @@ def verify_bessel():
 
 # ---------------------------------------------------------------- hyp2f1
 
-def mp_hyp2f1_series(a, b, c, x, jmax=None, dps=50):
-    """Brute-force term-by-term summation at high working precision: an
-    ``mpf`` sum for an ``mpf`` argument ``x``, an ``mpc`` one otherwise."""
+def mp_hyp2f1_series(a, b, c, x, jmax, dps=50):
+    """Brute-force term-by-term summation of the first ``jmax`` + 1 terms,
+    the whole of a series that terminates there, at high working
+    precision: an ``mpf`` sum for an ``mpf`` argument ``x``, an ``mpc`` one
+    otherwise."""
     import mpmath as mp
 
     real = isinstance(x, mp.mpf)
     with mp.workdps(dps):
         s = mp.mpf(1)
         term = mp.mpf(1) if real else mp.mpc(1)
-        j = 0
-        while jmax is None or j < jmax:
+        for j in range(jmax):
             term = term * (a + j) * (b + j) / ((c + j) * (j + 1)) * x
             s += term
-            j += 1
-            if jmax is None and abs(term) < mp.mpf(10) ** (-dps) * abs(s):
-                break
-            if j > 10**6:
-                raise RuntimeError("oracle series did not converge")
         return s if real else mp.mpc(s)
 
 
@@ -338,8 +362,7 @@ def verify_hyp2f1():
         c = float(rng.uniform(0.5, 4.0))
         x = complex(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))
         got = specfun.hyp2f1(a, b, c, x)
-        ref = complex(mp_hyp2f1_series(a, b, c, x, jmax=n))
-        worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
+        worst = _worst(worst, _rel(got, complex(mp_hyp2f1_series(a, b, c, x, jmax=n))))
     checks.append(("terminating_vs_brute_force_oracle", worst, 1e-12))
 
     worst = 0.0
@@ -353,7 +376,7 @@ def verify_hyp2f1():
         f2 = specfun.hyp2f1(a + 1, b + 1, c + 1, x)
         lhs = c * f0 - c * f1 + b * x * f2
         scale = abs(c * f0) + abs(c * f1) + abs(b * x * f2)
-        worst = max(worst, abs(lhs) / max(scale, 1e-300))
+        worst = _worst(worst, abs(lhs) / max(scale, 1e-300))
     checks.append(("gauss_contiguity", worst, 1e-10))
 
     return checks, 1e-12, {}
@@ -496,10 +519,7 @@ def verify_hypersph():
             grid = hypersph.z_grid(idx, thetas, taus)
             refs = z_grid_oracle(idx, thetas, taus, cache)
             for got, ref in zip(itertools.chain(*grid), itertools.chain(*refs)):
-                if not (math.isfinite(got.real) and math.isfinite(got.imag)):
-                    worst = math.inf
-                    continue
-                worst = max(worst, abs(got - ref) / max(abs(ref), 1e-300))
+                worst = _worst(worst, _rel(got, ref))
         else:
             n_sing += 1
             try:
@@ -513,7 +533,7 @@ def verify_hypersph():
     half = HalfInt(1)
     golden = hypersph.z_assoc(hypersph.HypersphIndex(half, half), math.pi / 2, 1.0)
     pinned = 1.1729352093275558 + 0.4065083666624422j
-    checks.append(("pinned_golden", abs(golden - pinned) / abs(pinned), 1e-9))
+    checks.append(("pinned_golden", _rel(golden, pinned), 1e-9))
 
     rng = np.random.default_rng(_SEED)
     worst = 0.0
@@ -528,7 +548,7 @@ def verify_hypersph():
         z = hypersph.z_assoc(idx, ang.theta, ang.tau)
         if z != 0:
             expect = cmath.exp(-(idx.m.twice / 2.0) * (ang.eps + 1j * ang.phi))
-            worst = max(worst, abs(hypersph.m_assoc(idx, ang) / z - expect))
+            worst = _worst(worst, abs(hypersph.m_assoc(idx, ang) / z - expect))
     checks.append(("phase_prefactor_exactness", worst, 1e-13))
 
     worst = 0.0
@@ -541,7 +561,7 @@ def verify_hypersph():
     n = len(taus_fine)
     for v0, v1, v2 in zip(row[:n], row[n:2 * n], row[2 * n:]):
         slope = abs(v2 - v0) / 0.05
-        if abs(v1 - v0) >= 10.0 * dtau * max(slope, 1e-6):
+        if not abs(v1 - v0) < 10.0 * dtau * max(slope, 1e-6):  # NaN fails too
             worst = math.inf
     checks.append(("continuity_probe", worst, 1e-9))
 
@@ -574,15 +594,15 @@ def resolve_scale(kappa: complex, kappa_dot: complex) -> float:
     root = cmath.sqrt(radial._positive_product(kappa, kappa_dot)).real
     half = HalfInt(1)
     probe = radial.RadialParams(kappa, kappa_dot, 1.0, 0.3, half, half)
-    best_a, best_res = None, None
-    for a in (root, 2.0 * root):
+
+    def residual(a):
         worst = 0.0
         for z in np.geomspace(0.5, 20.0, 9):
             r, scale = _bessel_ode_parts(probe, float(z), a)
-            worst = max(worst, abs(r) / scale)
-        if best_res is None or worst < best_res:
-            best_a, best_res = a, worst
-    return best_a
+            worst = _worst(worst, abs(r) / scale)
+        return worst
+
+    return min((root, 2.0 * root), key=residual)
 
 
 def verify_radial():
@@ -610,15 +630,15 @@ def verify_radial():
             for z in zs:
                 pt = radial.RadialPoint(float(z))
                 res, sc = _bessel_ode_parts(rp, pt.z, a)
-                worst_ode = max(worst_ode, abs(res) / sc)
+                worst_ode = _worst(worst_ode, abs(res) / sc)
 
                 f1, _, _, f4, _ = radial.radial_values(rp, pt.z, a)
                 sc = max(abs(2.0 * rp.kappa * f1), abs(2.0 * rp.kappa_dot * f4), 1e-300)
                 r1, r2 = radial.reduced_system_residual(rp, pt, a)
-                worst_red = max(worst_red, abs(r1) / sc, abs(r2) / sc)
+                worst_red = _worst(worst_red, abs(r1) / sc, abs(r2) / sc)
 
                 for e in radial.full_system_residual(rp, pt, a, "+-"):
-                    worst_full = max(worst_full, abs(e) / (4.0 * sc))
+                    worst_full = _worst(worst_full, abs(e) / (4.0 * sc))
     checks.append(("bessel_ode_residual", worst_ode, 1e-8))
     checks.append(("reduced_system_residual", worst_red, 1e-8))
     checks.append(("full_system_residual", worst_full, 1e-8))
@@ -635,9 +655,8 @@ def verify_radial():
             radial.f1_solution(rp, radial.RadialPoint(z + h), a)
             - radial.f1_solution(rp, radial.RadialPoint(z - h), a)
         ) / (2.0 * h)
-        worst = max(worst, abs(d_an - d_fd))
         f4_fd = ((rp.l.twice / 2.0 + 1.0) / z * f1 - d_fd) / (2.0 * rp.kappa)
-        worst = max(worst, abs(f4_an - f4_fd))
+        worst = _worst(worst, abs(d_an - d_fd), abs(f4_an - f4_fd))
     checks.append(("analytic_vs_finite_difference", worst, 1e-7))
 
     # structural fit: f4 proportional to C1 z J_{l+1}(az) - C2 z J_{-l-1}(az)
@@ -657,7 +676,7 @@ def verify_radial():
                 z = float(z)
                 lhs = radial.f4_from_f1(rp, radial.RadialPoint(z), a)
                 rhs = coef * sgn * z * specfun.bessel_j_half(nu, a * z)
-                worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
+                worst = _worst(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
     checks.append(("bessel_recurrence_structure", worst, 1e-10))
 
     return checks, 1e-8, {"resolve_scale": scale_detail}
@@ -711,20 +730,19 @@ def verify_assembly():
         t = assembly.translation_factor(cfg, gp)
         lo = assembly.lorentz_factor(cfg, gp.ang)
         for i in range(4):
-            prod = t[i] * lo[i]
-            worst_fact = max(worst_fact, abs(b[i] - prod) / max(abs(prod), 1e-300))
+            worst_fact = _worst(worst_fact, _rel(b[i], t[i] * lo[i]))
 
         flipped = assembly.SpinConfig(
             cfg.p, cfg.r, cfg.rp, cfg.radius, "-+" if cfg.sign_pair == "+-" else "+-"
         )
         bf = assembly.bispinor(flipped, gp).as_tuple()
         for got, want in zip(bf, (b[0], -b[1], -b[2], b[3])):
-            worst_sign = max(worst_sign, abs(got - want) / max(abs(want), 1e-300))
+            worst_sign = _worst(worst_sign, _rel(got, want))
 
         gp2 = assembly.GroupPoint(tuple(rng.uniform(-2.0, 2.0, size=4)), gp.ang)
         b2 = assembly.bispinor(cfg, gp2).as_tuple()
         for i in range(4):
-            worst_xinv = max(worst_xinv, abs(abs(b2[i]) - abs(b[i])) / max(abs(b[i]), 1e-300))
+            worst_xinv = _worst(worst_xinv, _rel(abs(b2[i]), abs(b[i])))
     checks.append(("factorization", worst_fact, 1e-14))
     checks.append(("sign_pair_flip", worst_sign, 1e-14))
     checks.append(("translation_pure_phase", worst_xinv, 1e-13))

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from poincarewave import hypersph, verify
+from poincarewave import assembly, cli, dirac, hypersph, radial, specfun, verify
 from poincarewave.halfint import HalfInt
 
 REPORT_KEYS = ["suite", "cases", "max_residual", "tolerance", "passed", "details"]
@@ -64,6 +64,88 @@ def test_zero_tolerance_ratio_is_inf_for_a_positive_residual(monkeypatch):
 
 def test_report_keys():
     assert list(verify.run_suite("gamma").to_dict()) == REPORT_KEYS
+
+
+# sha256 of the stdout of ``verify --suite all``: how the checks fold their
+# samples and how a report is written may change, but not the bytes of a
+# passing report
+_VERIFY_ALL_SHA256 = "c04d46cfc47cf9c5a37cdbf32ee08a13a674c6b185c48def47d095810772dd41"
+
+
+def test_verify_all_stdout_is_pinned(capsys):
+    assert cli.main(["verify", "--suite", "all"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _VERIFY_ALL_SHA256
+
+
+NAN = float("nan")
+
+
+def _nan_where(pred, nan=NAN):
+    """A fault for a layer: ``nan`` where ``pred`` holds on the layer's
+    arguments, the layer's value elsewhere."""
+    return lambda layer: lambda *args: nan if pred(*args) else layer(*args)
+
+
+def _nan_psi1_below_tau_half(layer):
+    def bispinor(cfg, gp):
+        b = layer(cfg, gp)
+        if gp.ang.tau < 0.5:
+            return assembly.PoincareBispinor(NAN, b.psi2, b.psi1_dot, b.psi2_dot)
+        return b
+    return bispinor
+
+
+def _nan_probe_row(layer):
+    def z_grid(idx, thetas, taus):
+        if list(thetas) == [1.0]:
+            return [[complex(NAN, NAN)] * len(taus)]
+        return layer(idx, thetas, taus)
+    return z_grid
+
+
+_BESSEL_FAULT = (specfun, "bessel_j_half", _nan_where(lambda nu, x: 1.0 < x < 1.2))
+
+# (module, layer, fault, suite, the check that must be worst): each fault
+# makes a layer return NaN on a few of the samples a suite checks
+NAN_FAULTS = {
+    "bessel_j_half": (*_BESSEL_FAULT, "bessel", "recurrence_vs_closed_form"),
+    "plane_wave": (dirac, "plane_wave", _nan_where(lambda x, p, sign: x[0] > 1.5),
+                   "dirac", "plane_wave_residual_analytic"),
+    "radial_values": (radial, "radial_values", _nan_where(lambda rp, z, a: 3.0 < z < 4.0,
+                                                          (NAN,) * 5),
+                      "radial", "bessel_ode_residual"),
+    "hyp2f1": (specfun, "hyp2f1", _nan_where(lambda a, b, c, x: abs(x) > 1.5),
+               "hyp2f1", "terminating_vs_brute_force_oracle"),
+    "z_assoc": (hypersph, "z_assoc", _nan_where(lambda idx, th, ta: 1.0 < ta < 1.3),
+                "hypersph", "phase_prefactor_exactness"),
+    "z_grid_probe_row": (hypersph, "z_grid", _nan_probe_row, "hypersph", "continuity_probe"),
+    "bispinor": (assembly, "bispinor", _nan_psi1_below_tau_half, "assembly", "factorization"),
+    "pinned_golden": (hypersph, "z_assoc",
+                      _nan_where(lambda idx, th, ta: (th, ta) == (math.pi / 2, 1.0)),
+                      "hypersph", "pinned_golden"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_FAULTS)
+def test_a_nan_residual_fails_its_suite_as_inf(monkeypatch, case):
+    module, layer, fault, suite, worst_check = NAN_FAULTS[case]
+    monkeypatch.setattr(module, layer, fault(getattr(module, layer)))
+    report = verify.run_suite(suite)
+    assert report.passed is False
+    assert report.max_residual == math.inf
+    assert report.details["worst_check"] == worst_check
+    assert report.passed == (report.max_residual <= report.tolerance)
+
+
+def test_verify_all_with_nan_bessel_values_exits_1_with_strict_json(monkeypatch, capsys):
+    from test_cli import _finite_json
+
+    module, layer, fault = _BESSEL_FAULT
+    monkeypatch.setattr(module, layer, fault(getattr(module, layer)))
+    assert cli.main(["verify", "--suite", "all"]) == 1
+    report = _finite_json(capsys.readouterr().out)["report"]
+    assert (report["passed"], report["max_residual"]) == (False, "inf")
+    assert report["details"]["bessel"]["max_residual"] == "inf"
 
 
 def _pointwise_oracle(idx, theta, tau, cache):
