@@ -281,7 +281,10 @@ def _largest(table: Sequence[tuple[complex, ...]]) -> list[float]:
     one component at a time so that only one column of moduli is held."""
     largest = []
     for i in range(len(table[0]) if table else 0):
-        mags = [abs(entries[i]) for entries in table]
+        try:
+            mags = [abs(entries[i]) for entries in table]
+        except OverflowError:  # both parts finite, the modulus past the double range
+            mags = [math.inf]
         if not all(map(math.isfinite, mags)):
             raise OverflowError("a grid factor is not finite")
         largest.append(max(mags))
@@ -320,9 +323,10 @@ def grid_rows(
     The (theta, tau) values are checked next, with ``z_assoc``'s message
     for the first point in row order outside its domain.  A kernel error
     is ``z_assoc``'s at the first failing (theta, tau) point in row order,
-    the m = +1/2 kernel's where both fail there, and the kernel table is
-    built before the phase table, so it is raised before a phase error.
-    Every error is raised before this returns.
+    the m = +1/2 kernel's where both fail there.  The phase table, of
+    n_phi n_eps points, is built before the kernel table, of n_theta n_tau
+    points, so a phase error is raised before any kernel work and before a
+    kernel error.  Every error is raised before this returns.
     """
     for name in axes:
         if name not in GRID_AXES:
@@ -340,8 +344,8 @@ def grid_rows(
     amplitudes, translation = _translation_part(cfg)
     dirac.check_phase_bound(cfg.p, [_max_abs(axes[name]) for name in _X_AXES])
     coefficients = _radial_coefficients(cfg)
-    ups, downs = hypersph.z_table((_UP, _DOWN), thetas, taus)
     phases = [_phases(EulerAngles(phi, eps)) for phi, eps in itertools.product(phis, epss)]
+    ups, downs = hypersph.z_table((_UP, _DOWN), thetas, taus)
     angles = [_lorentz(coefficients, z, ph) for ph in phases for z in zip(ups, downs)]
     # +v is v for a float: the cheapest identity
     xs = map(translation, _product([axes[name] for name in _X_AXES], operator.pos))

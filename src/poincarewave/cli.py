@@ -157,6 +157,8 @@ def cmd_spinor(args) -> int:
         if args.E is None:
             raise DomainError("--off-shell requires an explicit --E")
         p = dirac.FourMomentum.off_shell(args.E, args.px, args.py, args.pz, args.m)
+    elif args.E is not None:  # an E off the shell raises OffShellError
+        p = dirac.FourMomentum(args.E, args.px, args.py, args.pz, args.m)
     else:
         p = dirac.FourMomentum.on_shell(args.px, args.py, args.pz, args.m)
     amp = dirac._components(args.kind, args.r, p)
@@ -188,10 +190,14 @@ def cmd_hypersph(args) -> int:
     axes = thetas, taus, phis, epss = _axes([args.theta, args.tau, args.phi, args.eps])
     # m_assoc is phase(phi, eps) * Z(theta, tau): the kernel over the
     # (theta, tau) sub-grid in one z_table call, streamed in row order over
-    # a table of the phase at each (phi, eps) point
-    zs, = hypersph.z_table((idx,), thetas, taus)
+    # a table of the phase at each (phi, eps) point.  The index and the
+    # (theta, tau) domain are checked first, as z_table checks them; then
+    # the phase table, of n_phi n_eps points, is built before the kernel
+    # table, of n_theta n_tau, so a phase overflow costs no kernel work
+    hypersph.check_domain(thetas, taus, (idx,))
     phases = [(hypersph.phase(idx.m, hypersph.EulerAngles(*pe), args.dotted),)
               for pe in itertools.product(phis, epss)]
+    zs, = hypersph.z_table((idx,), thetas, taus)
     doc = {
         "command": "hypersph",
         "inputs": {"l": str(idx.l), "m": str(idx.m), "dotted": bool(args.dotted)},

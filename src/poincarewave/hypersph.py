@@ -85,10 +85,17 @@ def _check_open_domain(theta: float, tau: float) -> None:
         raise DomainError(f"tau must be positive, got {tau}")
 
 
-def check_domain(thetas: Sequence[float], taus: Sequence[float]) -> None:
+def check_domain(thetas: Sequence[float], taus: Sequence[float],
+                 idxs: Sequence[HypersphIndex] = ()) -> None:
     """Raise ``z_assoc``'s DomainError for the first point of the non-empty
     grid thetas x taus, in row order, that lies outside the open domain:
-    the first row, then the first column."""
+    the first row, then the first column.  With ``idxs``, raise the error
+    ``z_assoc`` raises at the first point in row order that is outside the
+    domain or has no plan: the first point's, then the PoleInDenominator
+    of the first index in ``idxs`` without a plan, then the rest."""
+    _check_open_domain(thetas[0], taus[0])
+    for idx in idxs:
+        kernel_plan(idx)
     for tau in taus:
         _check_open_domain(thetas[0], tau)
     for theta in thetas:
@@ -386,7 +393,8 @@ def z_table(
     ``_z``'s Kahan k-sum of ((i^n tan^n tanh^{-k}) F_theta) F_tau times
     cos^{2l} cosh^{2l}, in ``_z``'s order.  The DomainError of the first
     point in row order outside the domain, and the PoleInDenominator of
-    the first index without a plan, are raised before any part is made.
+    the first index without a plan, are raised before any part is made, as
+    ``check_domain(thetas, taus, idxs)`` raises them.
     A part that raises, and a value that is not finite, leave their points
     to ``z_assoc``, taken point by point in row order and, at each point,
     index by index: so any other error is ``z_assoc``'s at the first point
@@ -395,11 +403,8 @@ def z_table(
     tables: list[list[complex]] = [[] for _ in idxs]
     if not (thetas and taus):
         return tables
-    # z_assoc's error at the first point in row order that is outside the
-    # domain or has no plan: the first point, the plans, then the rest
-    _check_open_domain(thetas[0], taus[0])
+    check_domain(thetas, taus, idxs)
     kernels = [(idx, kernel_plan(idx), table) for idx, table in zip(idxs, tables)]
-    check_domain(thetas, taus)
     tau_parts = [[_tau_part(idx, plan, tau) for idx, plan, _ in kernels] for tau in taus]
     for theta in thetas:
         theta_parts = [_theta_part(idx, plan, theta) for idx, plan, _ in kernels]

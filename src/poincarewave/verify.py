@@ -36,7 +36,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import assembly, dirac, hypersph, radial, specfun
-from .errors import DomainError, PoleInDenominator
+from .errors import DomainError
 from .halfint import HalfInt, unit_range
 
 _SEED = 20260824
@@ -285,14 +285,11 @@ def verify_dirac():
 # ---------------------------------------------------------------- bessel
 
 def _closed_form_j(tw: int, x: float) -> float:
+    """J_{3/2}(x) for tw = 3, and J_{-3/2}(x) for tw = -3, in closed form."""
     s = math.sqrt(2.0 / (math.pi * x))
-    forms = {
-        1: s * math.sin(x),
-        -1: s * math.cos(x),
-        3: s * (math.sin(x) / x - math.cos(x)),
-        -3: s * (-math.cos(x) / x - math.sin(x)),
-    }
-    return forms[tw]
+    if tw == 3:
+        return s * (math.sin(x) / x - math.cos(x))
+    return s * (-math.cos(x) / x - math.sin(x))
 
 
 def verify_bessel():
@@ -396,7 +393,9 @@ def _oracle_factor(a, b, c, xkey, x, dps, cache):
     key = (a, b, c, xkey)
     if key in cache:
         return cache[key]
-    jmax = specfun._termination_index(a, b)
+    # the last index of a series that terminates: the smaller of -a and -b
+    # that is a non-positive integer
+    jmax = min((-int(v) for v in (a, b) if v <= 0.0 and v == int(v)), default=None)
     if jmax is not None:
         val = mp_hyp2f1_series(mp.mpf(a), mp.mpf(b), mp.mpf(c), x, jmax=jmax, dps=dps)
     else:
@@ -463,17 +462,21 @@ def z_grid_oracle(idx: hypersph.HypersphIndex, thetas, taus, cache=None) -> list
     (``_oracle_angle_part``) live in ``cache``, a dict the caller may share
     between calls (``verify_hypersph`` shares one across its indices);
     factors are keyed without the precision, so each is computed at the
-    precision of its first request.
+    precision of its first request.  Each factor's (a, b, c), and where its
+    series terminates, are worked out here from the defining sum, not taken
+    from the kernel's plan, so a wrong kernel parameter cannot move the
+    oracle with it.
     """
     import mpmath as mp
 
     cache = {} if cache is None else cache
-    # per k: n = m - k, the exponent -k, the theta and the tau factor's (a, b, c)
-    terms = []
-    for k in hypersph.sum_index_values(idx):
-        params = hypersph._term_params(idx, k)
-        terms.append(((idx.m.twice - k.twice) // 2, -k.twice / 2.0, params[:3], params[3:]))
+    # per k = -l ... l: n = m - k, the exponent -k, and the (a, b, c) of the
+    # theta factor 2F1(m-l+1, 1-l-k; m-k+1; x) and of the tau factor
+    # 2F1(1-l, 1-l-k; 1-k; y), written from the defining sum
     l2 = idx.l.twice
+    l, m = l2 / 2.0, idx.m.twice / 2.0
+    terms = [(int(m - k), -k, (m - l + 1.0, 1.0 - l - k, m - k + 1.0),
+              (1.0 - l, 1.0 - l - k, 1.0 - k)) for k in (k2 / 2.0 for k2 in range(-l2, l2 + 1, 2))]
     dpss = [_ORACLE_DPS + int(tau / math.log(10)) for tau in taus]
     tau_cols = [_oracle_tau_column(terms, l2, tau, dps, cache) for tau, dps in zip(taus, dpss)]
     top = max(dpss, default=_ORACLE_DPS)
@@ -509,26 +512,16 @@ def verify_hypersph():
     thetas = np.linspace(0.1, math.pi - 0.1, 20).tolist()
     taus = np.linspace(0.1, 5.0, 20).tolist()
 
-    n_eval = n_sing = 0
+    pairs = hypersph_index_sweep()
     worst = 0.0
-    singular_ok = True
     cache: dict = {}  # the oracle's factors, for this run only
-    for idx, evaluable in hypersph_index_sweep():
+    for idx, evaluable in pairs:
         if evaluable:
-            n_eval += 1
             grid = hypersph.z_grid(idx, thetas, taus)
             refs = z_grid_oracle(idx, thetas, taus, cache)
             for got, ref in zip(itertools.chain(*grid), itertools.chain(*refs)):
                 worst = _worst(worst, _rel(got, ref))
-        else:
-            n_sing += 1
-            try:
-                hypersph.z_assoc(idx, thetas[0], taus[0])
-                singular_ok = False
-            except PoleInDenominator:
-                pass
     checks.append(("grid_vs_direct_summation_oracle", worst, 1e-9))
-    checks.append(("singular_pairs_rejected", 0.0 if singular_ok else math.inf, 1e-9))
 
     half = HalfInt(1)
     golden = hypersph.z_assoc(hypersph.HypersphIndex(half, half), math.pi / 2, 1.0)
@@ -565,7 +558,8 @@ def verify_hypersph():
             worst = math.inf
     checks.append(("continuity_probe", worst, 1e-9))
 
-    return checks, 1e-9, {"evaluable_pairs": n_eval, "singular_pairs": n_sing}
+    n_eval = sum(evaluable for _, evaluable in pairs)
+    return checks, 1e-9, {"evaluable_pairs": n_eval, "singular_pairs": len(pairs) - n_eval}
 
 
 # ---------------------------------------------------------------- radial
@@ -722,15 +716,11 @@ def verify_assembly():
     rng = np.random.default_rng(_SEED)
     checks = []
 
-    worst_fact = worst_sign = worst_xinv = 0.0
+    worst_sign = worst_xinv = 0.0
     for _ in range(1000):
         cfg = _random_config(rng)
         gp = _random_point(rng)
         b = assembly.bispinor(cfg, gp).as_tuple()
-        t = assembly.translation_factor(cfg, gp)
-        lo = assembly.lorentz_factor(cfg, gp.ang)
-        for i in range(4):
-            worst_fact = _worst(worst_fact, _rel(b[i], t[i] * lo[i]))
 
         flipped = assembly.SpinConfig(
             cfg.p, cfg.r, cfg.rp, cfg.radius, "-+" if cfg.sign_pair == "+-" else "+-"
@@ -743,7 +733,6 @@ def verify_assembly():
         b2 = assembly.bispinor(cfg, gp2).as_tuple()
         for i in range(4):
             worst_xinv = _worst(worst_xinv, _rel(abs(b2[i]), abs(b[i])))
-    checks.append(("factorization", worst_fact, 1e-14))
     checks.append(("sign_pair_flip", worst_sign, 1e-14))
     checks.append(("translation_pure_phase", worst_xinv, 1e-13))
 

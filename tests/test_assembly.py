@@ -343,6 +343,13 @@ def test_streamed_factor_is_evaluated_as_the_rows_are_read():
     assert calls == []
 
 
+def test_an_inner_entry_whose_modulus_overflows_is_not_finite():
+    # both parts finite, |entry| past the double range: abs() raises, and
+    # sweep names the factor instead
+    with pytest.raises(OverflowError, match="^a grid factor is not finite$"):
+        sweep(iter([(1.0,)]), [(1.0,), (complex(1.3e308, 1.3e308),)], [1.0])
+
+
 def test_phase_bound_raised_before_any_x_is_evaluated(monkeypatch):
     cfg = SpinConfig(p=FourMomentum.on_shell(1e150, 0.0, 0.0, 1.0), r=1,
                      rp=config().rp, radius=1.0)

@@ -848,9 +848,8 @@ def test_import_builds_no_parser():
     # both parts of Z finite, its modulus past the double range
     (("hypersph", "--l", "1/2", "--m", "1/2", "--theta", "1.0", "--tau", "1409.5731128551818"),
      "Z^1/2_1/2(theta=1.0, tau=1409.5731128551818) overflows"),
-    # a kernel and a phase both overflow: the kernel table is built first
-    ((*_WF, "--tau=1:1410:2", "--eps", "1e6"),
-     "Z^1/2_1/2(theta=1.5707963267948966, tau=1410.0) overflows"),
+    # a kernel and a phase both overflow: the phase table is built first
+    ((*_WF, "--tau=1:1410:2", "--eps", "1e6"), "at m=-1/2, phi=0.0, eps=1000000.0 overflows"),
     # both parts of the phase finite, its modulus past the double range
     (("hypersph", "--l", "1/2", "--m", "-1/2", "--eps", "1420", "--phi", "1.5707963267948966"),
      "at m=-1/2, phi=1.5707963267948966, eps=1420.0 overflows"),
@@ -873,6 +872,41 @@ def test_range_errors_exit_2_naming_the_input(capsys, argv, named):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_phase_overflow_is_refused_before_any_kernel_work(capsys):
+    # a 1000 x 1000 (theta, tau) grid with one phase that overflows: the
+    # phase table is built before the kernel table, so neither command
+    # evaluates a kernel before it exits 2
+    grid = ("--theta=0.1:3:1000", "--tau=0.1:3:1000")
+    for argv, named in (
+        (("hypersph", "--l", "1/2", "--m", "1/2", *grid, "--eps=-1e6"), "m=1/2, phi=0.0, eps=-1"),
+        (("wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5", "--kappa-dot", "0.5",
+          *grid, "--eps=1e6"), "m=-1/2, phi=0.0, eps=1"),
+    ):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            code, out, err = run(capsys, *argv)
+            times.append(time.perf_counter() - start)
+            assert (code, out, err) == (
+                2, "", f"error: e^(-m(eps + i phi)) at {named}000000.0 overflows\n")
+        assert min(times) < 0.05, (argv, times)
+
+
+def test_a_lorentz_entry_past_the_double_range_is_a_grid_factor_error(capsys):
+    # both parts of L_i finite, its modulus past the double range
+    code, out, err = run(capsys, "wavefunction", "--m", "1", "--l", "1/2", "--kappa", "0.5",
+                         "--kappa-dot", "0.5", "--c1", "2", "--theta", "1.5707963267948966",
+                         "--tau", "1408.0", "--phi=1.5707963267948966", "--format", "csv")
+    assert (code, out, err) == (2, "", "error: a grid factor is not finite\n")
+
+
+def test_spinor_e_without_off_shell_is_checked_against_the_shell(capsys):
+    spinor = ("spinor", "--kind", "u", "--r", "1", "--pz", "0.75", "--m", "1", "--format", "csv")
+    assert run(capsys, *spinor, "--E", "5") == (
+        2, "", "error: E = 5.0 violates the shell relation (expected 1.25)\n")
+    assert run(capsys, *spinor, "--E", "1.25") == run(capsys, *spinor)
 
 
 def test_wavefunction_kernel_error_is_the_first_failing_point_and_index(capsys):

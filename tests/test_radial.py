@@ -156,6 +156,16 @@ class TestResiduals:
         res = full_system_residual(rp, RadialPoint(1.0), a, "-+")
         assert max(abs(e) for e in res) > 1e-2
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "FOUND: one f1/f4 serves both sign pairs, but under f2 = -f1, f3 = +f4 "
+        "e1 = 0 needs f4' = ((l_dot + 1)/z) f4 - 2 kappa f1, not the reduced "
+        "pair's f4' = -(l_dot/z) f4 + 2 kappa f1, so '-+' leaves residuals near 3"))
+    def test_full_system_vanishes_minus_plus(self):
+        rp = params(C1=0.8 + 0.1j, C2=-0.4 + 0.6j)
+        a = argument_scale(rp.kappa, rp.kappa_dot)
+        assert max(map(abs, full_system_residual(rp, RadialPoint(1.3), a, "+-"))) < 1e-12
+        assert max(map(abs, full_system_residual(rp, RadialPoint(1.3), a, "-+"))) < 1e-12
+
     def test_pairwise_coincidence_both_sign_pairs(self):
         # the substitution collapses the four equations pairwise:
         # e2 = s e1 and e3 = -s e4 exactly, for either sign pair

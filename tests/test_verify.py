@@ -69,7 +69,7 @@ def test_report_keys():
 # sha256 of the stdout of ``verify --suite all``: how the checks fold their
 # samples and how a report is written may change, but not the bytes of a
 # passing report
-_VERIFY_ALL_SHA256 = "c04d46cfc47cf9c5a37cdbf32ee08a13a674c6b185c48def47d095810772dd41"
+_VERIFY_ALL_SHA256 = "532c1268f59450f9c05da0810745b86b8c19bf228cf850d0ed32782067fa0a0e"
 
 
 def test_verify_all_stdout_is_pinned(capsys):
@@ -119,7 +119,7 @@ NAN_FAULTS = {
     "z_assoc": (hypersph, "z_assoc", _nan_where(lambda idx, th, ta: 1.0 < ta < 1.3),
                 "hypersph", "phase_prefactor_exactness"),
     "z_grid_probe_row": (hypersph, "z_grid", _nan_probe_row, "hypersph", "continuity_probe"),
-    "bispinor": (assembly, "bispinor", _nan_psi1_below_tau_half, "assembly", "factorization"),
+    "bispinor": (assembly, "bispinor", _nan_psi1_below_tau_half, "assembly", "sign_pair_flip"),
     "pinned_golden": (hypersph, "z_assoc",
                       _nan_where(lambda idx, th, ta: (th, ta) == (math.pi / 2, 1.0)),
                       "hypersph", "pinned_golden"),
@@ -231,6 +231,38 @@ def test_hypersph_grid_check_catches_a_wrong_oracle_theta_part(monkeypatch, muta
 
     monkeypatch.setattr(verify, "_oracle_theta_column", wrong)
     _hypersph_report_fails_on_the_grid_check()
+
+
+def test_hypersph_oracle_sees_a_wrong_kernel_parameter(monkeypatch):
+    # a2 - 1 for a2 at k = 1/2 of half-integer l >= 3/2: the oracle writes
+    # its own parameters, so it does not move with the kernel's
+    term_params = hypersph._term_params
+
+    def shifted(idx, k):
+        a1, b1, c1, a2, b2, c2 = term_params(idx, k)
+        if k.twice == 1 and idx.l.twice >= 3:
+            a2 -= 1.0
+        return a1, b1, c1, a2, b2, c2
+
+    idx = hypersph.HypersphIndex(HalfInt(3), HalfInt(-3))
+    with monkeypatch.context() as m:
+        m.setattr(hypersph, "_term_params", shifted)
+        hypersph._compiled_plan.cache_clear()
+        moved = hypersph.z_assoc(idx, 1.0, 1.0)
+        report = verify.run_suite("hypersph")
+    hypersph._compiled_plan.cache_clear()
+    assert abs(moved - hypersph.z_assoc(idx, 1.0, 1.0)) > 1.0
+    assert not report.passed
+    assert report.details["worst_check"] == "grid_vs_direct_summation_oracle"
+    assert (report.details["evaluable_pairs"], report.details["singular_pairs"]) == (15, 21)
+
+
+def test_phase_prefactor_check_catches_a_swapped_dotted_flag(monkeypatch):
+    phase = hypersph.phase
+    monkeypatch.setattr(hypersph, "phase", lambda m, ang, dotted: phase(m, ang, not dotted))
+    report = verify.run_suite("hypersph")
+    assert not report.passed
+    assert report.details["worst_check"] == "phase_prefactor_exactness"
 
 
 # sha256 of the float.hex of the real and imaginary part of every value
